@@ -666,27 +666,22 @@ BENCHMARK(BM_MapScanTieredEvicting)->UseRealTime();
 
 // ---- group commit: concurrent FNode writers -----------------------------
 //
-// range(0) = 0: scalar commits (each Put pays its own append + flush).
-// range(0) = 1: group commit (racing Puts drain as one PutMany + flush).
-// Run at 1 and 4 threads; the 4-thread pair is the aggregate-throughput
-// criterion for the commit queue.
+// Racing Puts drain through the commit queue as one PutMany + flush per
+// group. Run at 1 and 4 threads; 4 writers sharing each drain's fsync must
+// sustain at least the aggregate throughput of one writer.
 
 class CommitBench : public benchmark::Fixture {
  public:
-  void SetUp(const benchmark::State& state) override {
+  void SetUp(const benchmark::State&) override {
     std::lock_guard<std::mutex> lock(mu_);
     if (refs_++ == 0) {
-      const bool grouped = state.range(0) != 0;
-      dir_ = std::make_unique<ScopedStoreDir>(grouped ? "commit_grouped"
-                                                      : "commit_scalar");
-      ForkBase::OpenOptions open;
-      open.prefetch_threads = 0;
+      dir_ = std::make_unique<ScopedStoreDir>("commit_grouped");
+      ForkBase::Config config;
+      config.prefetch_threads = 0;
       // Power-loss durability: every commit run fsyncs. This is the cost
-      // the queue amortizes — scalar pays one sync per commit, the group
-      // pays one per drain.
-      open.fsync = true;
-      open.options.group_commit = grouped;
-      auto db = ForkBase::OpenPersistent(dir_->path(), open);
+      // the queue amortizes — one sync per drain, shared by its group.
+      config.fsync = true;
+      auto db = ForkBase::Open(dir_->path(), config);
       db_ = std::move(*db);
     }
   }
@@ -711,8 +706,8 @@ std::unique_ptr<ScopedStoreDir> CommitBench::dir_;
 std::unique_ptr<ForkBase> CommitBench::db_;
 
 BENCHMARK_DEFINE_F(CommitBench, FNodeCommit)(benchmark::State& state) {
-  // One branch per writer: heads race in the table, records race for the
-  // append lock (scalar) or coalesce in the queue (grouped).
+  // One branch per writer: heads race in the table, records coalesce in
+  // the queue.
   const std::string branch = "w" + std::to_string(state.thread_index());
   uint64_t i = 0;
   for (auto _ : state) {
@@ -724,8 +719,6 @@ BENCHMARK_DEFINE_F(CommitBench, FNodeCommit)(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK_REGISTER_F(CommitBench, FNodeCommit)
-    ->Arg(0)
-    ->Arg(1)
     ->Threads(1)
     ->Threads(4)
     ->UseRealTime();
@@ -791,7 +784,9 @@ void BM_SyncPushFull(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   benchmark::DoNotOptimize(bytes);
 }
-BENCHMARK(BM_SyncPushFull);
+// Real time: the export hashes on a worker pool, so main-thread CPU time
+// would miss most of the work.
+BENCHMARK(BM_SyncPushFull)->UseRealTime();
 
 void BM_SyncPushDelta(benchmark::State& state) {
   const SyncCorpus& corpus = GetSyncCorpus();
@@ -807,7 +802,7 @@ void BM_SyncPushDelta(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   benchmark::DoNotOptimize(bytes);
 }
-BENCHMARK(BM_SyncPushDelta);
+BENCHMARK(BM_SyncPushDelta)->UseRealTime();
 
 // ---- GC: in-place sweep, copy collection, parallel compaction ------------
 //

@@ -9,8 +9,8 @@ bench/baseline.json in two ways:
    from their own same-machine measurements. The new ratio must not fall
    more than --threshold percent below the baseline ratio, and must stay
    above the pair's hard floor where one is set (the PR acceptance
-   criteria: async scans >= 1.5x sync on a latency-bound store, grouped
-   4-thread commits >= 1x the 4 independent scalar commits). Ratios are
+   criteria: async scans >= 1.5x sync on a latency-bound store, 4 racing
+   committers >= 1x the aggregate throughput of one). Ratios are
    machine-independent, so this gate is meaningful on any runner.
 
 2. ABSOLUTE DRIFT (warns by default, fails with --strict): per-benchmark
@@ -48,9 +48,8 @@ TRACKED_PAIRS = [
     ("BM_FileStorePutBatched/1024", "BM_FileStorePutScalar/1024", None, True),
     ("BM_FileStoreGetBatched/64", "BM_FileStoreGetScalar/64", 1.5, True),
     ("BM_FileStoreGetBatched/256", "BM_FileStoreGetScalar/256", 1.5, True),
-    # Tentpole criteria of the async I/O pipeline PR. The slow-device scan
-    # is dominated by the simulated latency, so its ratio travels well; the
-    # commit pair's ratio moves with cores and fsync cost, floor only.
+    # Tentpole criterion of the async I/O pipeline PR. The slow-device scan
+    # is dominated by the simulated latency, so its ratio travels well.
     ("BM_MapScanSlowDeviceAsync/real_time",
      "BM_MapScanSlowDeviceSync/real_time", 1.5, True),
     # Tentpole criterion of the tiered-store PR: scanning a tree resident
@@ -67,14 +66,18 @@ TRACKED_PAIRS = [
     # floor only, no baseline comparison.
     ("BM_MapScanTieredEvicting/real_time",
      "BM_MapScanTieredColdSync/real_time", 0.5, False),
-    ("CommitBench/FNodeCommit/1/real_time/threads:4",
-     "CommitBench/FNodeCommit/0/real_time/threads:4", 1.0, False),
+    # Commit-queue criterion: 4 racing committers (fsync on) share each
+    # drain's sync, so their aggregate throughput must not fall below one
+    # committer's. Scales with cores and sync cost: floor only.
+    ("CommitBench/FNodeCommit/real_time/threads:4",
+     "CommitBench/FNodeCommit/real_time/threads:1", 1.0, False),
     # Sync-subsystem criterion: after negotiation a steady-state push
     # exports only the delta past the receiver's frontier, which must stay
     # well ahead of re-exporting the head's whole closure. Both sides are
     # CPU-bound closure walks over the same in-memory corpus, so the ratio
-    # travels across runners.
-    ("BM_SyncPushDelta", "BM_SyncPushFull", 2.0, True),
+    # travels across runners. Timed in real time: the exports hash on a
+    # worker pool, which main-thread CPU time does not see.
+    ("BM_SyncPushDelta/real_time", "BM_SyncPushFull/real_time", 2.0, True),
     # Parallel-maintenance criterion of the in-place GC PR: the same
     # compaction backlog (~37 segment rewrites, page cache dropped,
     # pre-truncate fsync plus a simulated 500us device sync — the

@@ -101,13 +101,13 @@ class FileChunkStore : public ChunkStore {
     /// synchronous semantics, which is also faster on page-cache-warm
     /// data) makes GetManyAsync fall back to the inline path and
     /// SupportsAsyncGet() false, so pipelined readers never speculate.
-    /// ForkBase::OpenPersistent turns prefetch on for the production
+    /// ForkBase::Open turns prefetch on for the production
     /// stack, where cold reads have latency worth hiding.
     uint32_t prefetch_threads = 0;
     /// fsync the segment after every flushed append run. Upgrades Put's
     /// durability from crash-safe (survives the process dying) to
     /// power-loss-safe, at one disk sync per Put/PutMany — the cost the
-    /// group-commit queue exists to amortize (N commits, one sync).
+    /// commit queue exists to amortize (N commits, one sync).
     bool fsync_on_flush = false;
     /// Rewrite a closed segment once its live bytes fall below this fraction
     /// of its file size (erases and tombstones are dead space). 0 disables

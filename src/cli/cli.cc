@@ -136,8 +136,6 @@ Status ParseArgs(const std::vector<std::string>& args, CliContext* ctx) {
             "unbounded hot tier)");
       }
       ctx->config.tier.hot_bytes_budget = n << 20;
-    } else if (a == "--group-commit") {
-      ctx->config.commit.group_commit = true;
     } else if (a == "--fsync") {
       ctx->config.fsync = true;
     } else if (a == "--maintenance-threads") {
@@ -584,8 +582,9 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
     return Status::OK();
   }
   if (cmd == "pull") {
-    // pull FILE — import a bundle; the head becomes the branch head of the
-    // key recorded in its FNode.
+    // pull FILE — import a bundle and fast-forward the branch of the key
+    // recorded in its FNode to the bundle's head. A diverged branch is left
+    // alone (kMergeConflict): pull never drops local history.
     if (pos.size() != 2) {
       return Status::InvalidArgument("pull FILE | pull ADDRESS [KEY]");
     }
@@ -593,7 +592,8 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
     FB_ASSIGN_OR_RETURN(ImportResult result,
                         ImportBundle(bundle, db.store()));
     FB_ASSIGN_OR_RETURN(VersionInfo info, db.Meta(result.head));
-    db.branches().SetHead(info.key, ctx.branch, result.head);
+    FB_RETURN_IF_ERROR(
+        db.FastForward(info.key, ctx.branch, result.head).status());
     out << "pulled " << info.key << "@" << ctx.branch << " = "
         << result.head.ToBase32() << " (" << result.new_chunks << " new of "
         << result.chunks << " chunks)\n";
@@ -755,7 +755,7 @@ std::string CliUsage() {
   return
       "forkbase_cli [--db DIR] [--branch B] [--author A] [-m MSG]\n"
       "             [--prefetch-threads N] [--prefetch-depth N]\n"
-      "             [--cache-mb N] [--group-commit] [--fsync]\n"
+      "             [--cache-mb N] [--fsync]\n"
       "             [--maintenance-threads N] [--segment-kb N]\n"
       "             [--tier-cold DIR] [--tier-policy write-through|write-back]\n"
       "             [--tier-hot-budget-mb N]\n"
@@ -783,7 +783,7 @@ std::string CliUsage() {
       "  diff KEY A B           differential query between branches\n"
       "  export KEY FILE        export table as CSV / blob as bytes\n"
       "  push KEY FILE          export the branch head as a bundle\n"
-      "  pull FILE              import a bundle and set the branch head\n"
+      "  pull FILE              import a bundle, fast-forward the branch\n"
       "  verify UID|KEY         tamper-evidence check\n"
       "  verify [UID|KEY] --deep  also re-materialize every stored record\n"
       "  verify-all             verify every branch head\n"
@@ -812,11 +812,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
   if (ctx.positional.empty() || ctx.positional[0] == "help") {
     out << CliUsage();
     return 0;
-  }
-  if (ctx.positional[0] == "serve") {
-    // Concurrent sessions committing to one branch need the queue's
-    // linearized head chaining, not compare-and-fail.
-    ctx.config.commit.group_commit = true;
   }
   auto db_or = ForkBase::Open(ctx.db_dir, ctx.config);
   if (!db_or.ok()) {

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/sync.h"
 #include "net/wire.h"
 #include "store/bundle.h"
 #include "store/gc.h"
@@ -23,7 +22,6 @@ namespace forkbase {
 namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
-constexpr int kUpdateHeadRetries = 16;
 /// Upper bound on one poll sleep; deadline sweeps shorten it further.
 constexpr int kMaxPollMillis = 500;
 
@@ -867,40 +865,9 @@ Status ForkBaseServer::HandleUpdateHead(Decoder* dec,
   if (meta->key != key) {
     return Status::InvalidArgument("version belongs to key " + meta->key);
   }
-  for (int attempt = 0; attempt < kUpdateHeadRetries; ++attempt) {
-    auto head = db_->Head(key, branch);
-    if (!head.ok()) {
-      Status created = db_->BranchFromVersion(key, branch, uid);
-      if (created.ok()) {
-        reply_payload->push_back(1);
-        return Status::OK();
-      }
-      if (created.code() == StatusCode::kAlreadyExists) continue;  // raced
-      return created;
-    }
-    if (*head == uid) {
-      reply_payload->push_back(0);  // already there — idempotent push
-      return Status::OK();
-    }
-    auto fast_forward = HistoryContains(*db_->store(), uid, *head);
-    if (!fast_forward.ok()) return fast_forward.status();
-    if (!*fast_forward) {
-      return Status::MergeConflict(
-          "remote branch has commits the pushed head does not include; "
-          "pull and merge first");
-    }
-    auto advanced = db_->AdvanceHead(key, branch, *head, uid);
-    if (advanced.ok()) {
-      reply_payload->push_back(1);
-      return Status::OK();
-    }
-    if (advanced.status().code() != StatusCode::kAlreadyExists) {
-      return advanced.status();
-    }
-    // The head moved while we checked ancestry — re-read and retry.
-  }
-  return Status::MergeConflict(
-      "update-head kept racing concurrent commits; retry");
+  FB_ASSIGN_OR_RETURN(bool moved, db_->FastForward(key, branch, uid));
+  reply_payload->push_back(moved ? 1 : 0);  // 0: already there (idempotent)
+  return Status::OK();
 }
 
 Status ForkBaseServer::HandlePullDelta(

@@ -3,22 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <optional>
-#include <queue>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 
 #include "store/bundle.h"
-#include "store/fnode.h"
 #include "store/gc.h"
 #include "util/random.h"
 
 namespace forkbase {
 
 namespace {
-
-constexpr int kHeadRaceRetries = 16;
 
 struct Target {
   std::string key;
@@ -47,55 +42,7 @@ std::vector<Hash256> LocalHeads(ForkBase* db) {
   return heads;
 }
 
-/// Fast-forwards the local (key, branch) head to `uid`, creating the
-/// branch if absent. Returns true=updated, false=already there;
-/// kMergeConflict when the local branch diverged.
-StatusOr<bool> FastForwardLocal(ForkBase* db, const Target& target) {
-  for (int attempt = 0; attempt < kHeadRaceRetries; ++attempt) {
-    auto head = db->Head(target.key, target.branch);
-    if (!head.ok()) {
-      Status created =
-          db->BranchFromVersion(target.key, target.branch, target.uid);
-      if (created.ok()) return true;
-      if (created.code() == StatusCode::kAlreadyExists) continue;  // raced
-      return created;
-    }
-    if (*head == target.uid) return false;
-    FB_ASSIGN_OR_RETURN(bool fast_forward,
-                        HistoryContains(*db->store(), target.uid, *head));
-    if (!fast_forward) {
-      return Status::MergeConflict("local branch " + target.key + "@" +
-                                   target.branch + " diverged");
-    }
-    auto advanced =
-        db->AdvanceHead(target.key, target.branch, *head, target.uid);
-    if (advanced.ok()) return true;
-    if (advanced.status().code() != StatusCode::kAlreadyExists) {
-      return advanced.status();
-    }
-  }
-  return Status::MergeConflict("head kept racing concurrent commits");
-}
-
 }  // namespace
-
-StatusOr<bool> HistoryContains(const ChunkStore& store, const Hash256& head,
-                               const Hash256& target) {
-  if (head == target) return true;
-  std::unordered_set<Hash256, Hash256Hasher> seen{head};
-  std::queue<Hash256> frontier;
-  frontier.push(head);
-  while (!frontier.empty()) {
-    Hash256 uid = frontier.front();
-    frontier.pop();
-    FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(&store, uid));
-    for (const auto& base : node.bases) {
-      if (base == target) return true;
-      if (seen.insert(base).second) frontier.push(base);
-    }
-  }
-  return false;
-}
 
 StatusOr<SyncStats> SyncPush(ForkBase* db, ForkBaseClient* client,
                              const SyncOptions& options) {
@@ -237,7 +184,7 @@ Status SyncPullInto(ForkBase* db, ForkBaseClient* client,
   if (targets.empty()) return Status::OK();
 
   // Quarantine the pull against a concurrent local sweep: chunks imported
-  // below are unreachable until FastForwardLocal publishes the heads, so
+  // below are unreachable until FastForward publishes the heads, so
   // the pin must span import→publish (the sweep's erase loop skips ids in
   // any live pin). The write lease additionally makes each import write
   // atomic against a sweep's erase batches; it is scoped to the import so
@@ -256,7 +203,7 @@ Status SyncPullInto(ForkBase* db, ForkBaseClient* client,
   }
 
   for (const auto& target : targets) {
-    auto updated = FastForwardLocal(db, target);
+    auto updated = db->FastForward(target.key, target.branch, target.uid);
     if (updated.ok()) {
       *updated ? ++stats.branches_updated : ++stats.branches_skipped;
       continue;

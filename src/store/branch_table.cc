@@ -23,6 +23,15 @@ void BranchTable::SetHead(const std::string& key, const std::string& branch,
   heads_[key][branch] = uid;
 }
 
+Status BranchTable::Create(const std::string& key, const std::string& branch,
+                           const Hash256& uid) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!heads_[key].try_emplace(branch, uid).second) {
+    return Status::AlreadyExists("branch " + branch + " of key " + key);
+  }
+  return Status::OK();
+}
+
 Status BranchTable::Fork(const std::string& key, const std::string& to,
                          const std::string& from) {
   std::lock_guard<std::mutex> lock(mu_);

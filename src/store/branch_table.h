@@ -28,6 +28,11 @@ class BranchTable {
   void SetHead(const std::string& key, const std::string& branch,
                const Hash256& uid);
 
+  /// Creates (key, branch) at `uid` in one step. AlreadyExists if the
+  /// branch exists, so of racing creators exactly one wins.
+  Status Create(const std::string& key, const std::string& branch,
+                const Hash256& uid);
+
   /// Creates `to` pointing at `from`'s head. AlreadyExists if `to` exists.
   Status Fork(const std::string& key, const std::string& to,
               const std::string& from);

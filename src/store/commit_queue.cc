@@ -7,14 +7,15 @@
 
 namespace forkbase {
 
+namespace {
+/// Max FNodes landed per PutMany drain.
+constexpr size_t kMaxBatch = 128;
+}  // namespace
+
 CommitQueue::CommitQueue(ChunkStore* store, BranchTable* branches,
                          std::atomic<uint64_t>* clock,
-                         std::atomic<uint64_t>* commits, size_t max_batch)
-    : store_(store),
-      branches_(branches),
-      clock_(clock),
-      commits_(commits),
-      max_batch_(max_batch == 0 ? 1 : max_batch) {}
+                         std::atomic<uint64_t>* commits)
+    : store_(store), branches_(branches), clock_(clock), commits_(commits) {}
 
 CommitQueue::~CommitQueue() { pool_.Shutdown(); }
 
@@ -70,7 +71,7 @@ void CommitQueue::Drain() {
         drain_scheduled_ = false;
         return;
       }
-      const size_t n = std::min(queue_.size(), max_batch_);
+      const size_t n = std::min(queue_.size(), kMaxBatch);
       batch.reserve(n);
       for (size_t i = 0; i < n; ++i) {
         batch.push_back(std::move(queue_.front()));

@@ -1,6 +1,6 @@
-// Group-commit queue — the write half of the async I/O pipeline.
+// Commit queue — the only path that moves a branch head.
 //
-// Concurrent ForkBase::Commit calls enqueue a commit request and block on a
+// Every ForkBase commit and head advance enqueues a request and blocks on a
 // future; a single drain task (on a one-thread WorkerPool, the same
 // primitive the read prefetcher uses) pops everything queued, builds the
 // FNode chunks in enqueue order, lands them with ONE ChunkStore::PutMany —
@@ -8,15 +8,18 @@
 // the whole group — then publishes the branch heads in the same order and
 // wakes every follower with its version uid.
 //
-// Two semantic consequences, both strictly stronger than the scalar path:
+// Because one thread publishes every head, the queue defines the commit
+// semantics:
 //   * same-branch chaining: a Put enqueued without explicit bases resolves
 //     its parent at drain time, against heads that include earlier commits
 //     of the same drain — so N racing Puts to one branch form a chain of N
 //     versions instead of racing read-modify-write and losing updates;
+//   * compare-and-set: a request carrying an expected head (PutIf, Merge,
+//     AdvanceHead) is checked at drain time, so of racing requests with the
+//     same expectation exactly one lands;
 //   * durability order: heads are published only after PutMany returned,
 //     and PutMany flushes before returning, so a crash never leaves a head
-//     pointing at an unwritten FNode (same contract as the scalar path,
-//     at one flush per group instead of per commit).
+//     pointing at an unwritten FNode (one flush per group).
 #ifndef FORKBASE_STORE_COMMIT_QUEUE_H_
 #define FORKBASE_STORE_COMMIT_QUEUE_H_
 
@@ -57,10 +60,9 @@ class CommitQueue {
   };
 
   /// All pointers are borrowed from the owning ForkBase and must outlive
-  /// the queue. `max_batch` caps the FNode run landed per PutMany.
+  /// the queue.
   CommitQueue(ChunkStore* store, BranchTable* branches,
-              std::atomic<uint64_t>* clock, std::atomic<uint64_t>* commits,
-              size_t max_batch);
+              std::atomic<uint64_t>* clock, std::atomic<uint64_t>* commits);
   ~CommitQueue();  // drains everything already enqueued, then joins
 
   /// Enqueues and blocks until the group containing this request is
@@ -69,16 +71,17 @@ class CommitQueue {
 
   /// Queue-ordered compare-and-advance of a branch head: publishes
   /// `target` iff the head at drain time still equals `expected`. This is
-  /// the fast-forward path of Merge — routed through the queue so it
-  /// cannot interleave with a drain and silently discard a commit that is
-  /// being landed. Returns `target` on success; kAlreadyExists when the
-  /// head moved (the caller recomputes its merge and retries).
+  /// the fast-forward path of Merge and ForkBase::FastForward — routed
+  /// through the queue so it cannot interleave with a drain and silently
+  /// discard a commit that is being landed. Returns `target` on success;
+  /// kAlreadyExists when the head moved (the caller recomputes and
+  /// retries).
   StatusOr<Hash256> AdvanceHead(const std::string& key,
                                 const std::string& branch,
                                 const Hash256& expected,
                                 const Hash256& target);
 
-  /// Group-commit counters, folded into ForkBaseStats by ForkBase::Stat().
+  /// Queue counters, folded into ForkBaseStats by ForkBase::Stat().
   struct Stats {
     uint64_t commits = 0;   ///< commit entries durably landed
     uint64_t batches = 0;   ///< drain groups (PutMany runs) that landed
@@ -104,7 +107,6 @@ class CommitQueue {
   BranchTable* const branches_;
   std::atomic<uint64_t>* const clock_;
   std::atomic<uint64_t>* const commits_;
-  const size_t max_batch_;
 
   std::mutex mu_;
   std::deque<std::unique_ptr<Entry>> queue_;

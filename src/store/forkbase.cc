@@ -38,19 +38,33 @@ Status PinReachableForSweep(ChunkStore* store, const Hash256& target) {
   return Status::OK();
 }
 
+/// True iff `target` appears in the derivation history reachable from
+/// `head` through FNode bases (head == target counts) — the fast-forward
+/// test of FastForward.
+StatusOr<bool> HistoryContains(const ChunkStore& store, const Hash256& head,
+                               const Hash256& target) {
+  if (head == target) return true;
+  std::unordered_set<Hash256, Hash256Hasher> seen{head};
+  std::queue<Hash256> frontier;
+  frontier.push(head);
+  while (!frontier.empty()) {
+    Hash256 uid = frontier.front();
+    frontier.pop();
+    FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(&store, uid));
+    for (const auto& base : node.bases) {
+      if (base == target) return true;
+      if (seen.insert(base).second) frontier.push(base);
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 ForkBase::ForkBase(std::shared_ptr<ChunkStore> store)
-    : ForkBase(std::move(store), Options{}) {}
-
-ForkBase::ForkBase(std::shared_ptr<ChunkStore> store, const Options& options)
-    : store_(std::move(store)) {
-  if (options.group_commit) {
-    commit_queue_ = std::make_unique<CommitQueue>(
-        store_.get(), &branch_table_, &clock_, &commits_,
-        options.group_commit_max_batch);
-  }
-}
+    : store_(std::move(store)),
+      commit_queue_(std::make_unique<CommitQueue>(store_.get(), &branch_table_,
+                                                  &clock_, &commits_)) {}
 
 ForkBase::~ForkBase() = default;
 
@@ -127,7 +141,7 @@ StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path,
   auto cache = std::make_shared<CachingChunkStore>(std::move(backing),
                                                    config.cache_bytes);
   CachingChunkStore* cache_raw = cache.get();
-  auto db = std::make_unique<ForkBase>(std::move(cache), config.commit);
+  auto db = std::make_unique<ForkBase>(std::move(cache));
   db->tiered_store_ = std::move(tiered);
   db->cache_store_ = cache_raw;
   db->hot_file_store_ = hot_raw;
@@ -136,62 +150,20 @@ StatusOr<std::unique_ptr<ForkBase>> ForkBase::Open(const std::string& path,
   return db;
 }
 
-ForkBase::Config ForkBase::OpenOptions::ToConfig() const {
-  Config config;
-  config.cache_bytes = cache_bytes;
-  config.prefetch_threads = prefetch_threads;
-  config.fsync = fsync;
-  config.tier.cold_dir = tier_cold_dir;
-  config.tier.write_back = tier_write_back;
-  config.tier.hot_bytes_budget = hot_bytes_budget;
-  config.commit = options;
-  return config;
-}
-
-StatusOr<std::unique_ptr<ForkBase>> ForkBase::OpenPersistent(
-    const std::string& dir, size_t cache_bytes) {
-  Config config;
-  config.cache_bytes = cache_bytes;
-  return Open(dir, config);
-}
-
-StatusOr<std::unique_ptr<ForkBase>> ForkBase::OpenPersistent(
-    const std::string& dir, const OpenOptions& open_options) {
-  return Open(dir, open_options.ToConfig());
-}
-
 StatusOr<Hash256> ForkBase::Commit(const std::string& key, const Value& value,
                                    std::optional<std::vector<Hash256>> bases,
                                    const std::string& branch,
                                    const PutMeta& meta,
                                    std::optional<Hash256> expected_head) {
-  if (commit_queue_) {
-    CommitQueue::Request req;
-    req.key = key;
-    req.value = value;
-    req.bases = std::move(bases);
-    req.expected_head = expected_head;
-    req.branch = branch;
-    req.author = meta.author;
-    req.message = meta.message;
-    return commit_queue_->Commit(std::move(req));
-  }
-  FNode node;
-  node.key = key;
-  node.value = value;
-  if (bases) {
-    node.bases = std::move(*bases);
-  } else {
-    auto head = branch_table_.Head(key, branch);
-    if (head.ok()) node.bases.push_back(*head);
-  }
-  node.author = meta.author;
-  node.message = meta.message;
-  node.logical_time = clock_.fetch_add(1) + 1;
-  FB_ASSIGN_OR_RETURN(Hash256 uid, node.Write(store_.get()));
-  branch_table_.SetHead(key, branch, uid);
-  commits_.fetch_add(1);
-  return uid;
+  CommitQueue::Request req;
+  req.key = key;
+  req.value = value;
+  req.bases = std::move(bases);
+  req.expected_head = expected_head;
+  req.branch = branch;
+  req.author = meta.author;
+  req.message = meta.message;
+  return commit_queue_->Commit(std::move(req));
 }
 
 StatusOr<Hash256> ForkBase::Put(const std::string& key, const Value& value,
@@ -215,15 +187,6 @@ StatusOr<Hash256> ForkBase::PutIf(const std::string& key, const Value& value,
                                   const PutMeta& meta) {
   auto lease = AcquireWriteLease();
   if (key.empty()) return Status::InvalidArgument("empty key");
-  if (!commit_queue_) {
-    // Scalar path: single-writer semantics, so checking before the write
-    // is exact (no drain can interleave).
-    auto head = branch_table_.Head(key, branch);
-    if (!head.ok() || *head != expected_head) {
-      return Status::AlreadyExists(
-          "head moved past the expected version; recompute and retry");
-    }
-  }
   return Commit(key, value, std::vector<Hash256>{expected_head}, branch, meta,
                 expected_head);
 }
@@ -247,16 +210,40 @@ StatusOr<Hash256> ForkBase::AdvanceHeadLeased(const std::string& key,
                                               const std::string& branch,
                                               const Hash256& expected,
                                               const Hash256& target) {
-  if (commit_queue_) {
-    return commit_queue_->AdvanceHead(key, branch, expected, target);
+  return commit_queue_->AdvanceHead(key, branch, expected, target);
+}
+
+StatusOr<bool> ForkBase::FastForward(const std::string& key,
+                                     const std::string& branch,
+                                     const Hash256& uid) {
+  // A concurrent commit can move the head between the ancestry check and
+  // the queue-ordered advance; re-read and re-check a bounded number of
+  // times before giving up.
+  constexpr int kMaxRaceRetries = 16;
+  for (int attempt = 0; attempt < kMaxRaceRetries; ++attempt) {
+    auto head = Head(key, branch);
+    if (!head.ok()) {
+      Status created = BranchFromVersion(key, branch, uid);
+      if (created.ok()) return true;
+      if (created.code() == StatusCode::kAlreadyExists) continue;  // raced
+      return created;
+    }
+    if (*head == uid) return false;
+    FB_ASSIGN_OR_RETURN(bool fast_forward,
+                        HistoryContains(*store_, uid, *head));
+    if (!fast_forward) {
+      return Status::MergeConflict(
+          "branch " + key + "@" + branch +
+          " has commits the new head does not include; merge instead");
+    }
+    auto advanced = AdvanceHead(key, branch, *head, uid);
+    if (advanced.ok()) return true;
+    if (advanced.status().code() != StatusCode::kAlreadyExists) {
+      return advanced.status();
+    }
   }
-  auto head = branch_table_.Head(key, branch);
-  if (!head.ok() || *head != expected) {
-    return Status::AlreadyExists(
-        "head moved past the expected version; recompute and retry");
-  }
-  branch_table_.SetHead(key, branch, target);
-  return target;
+  return Status::MergeConflict("branch " + key + "@" + branch +
+                               " kept racing concurrent commits; retry");
 }
 
 StatusOr<Hash256> ForkBase::PutBlob(const std::string& key, Slice bytes,
@@ -470,8 +457,9 @@ Status ForkBase::BranchFromVersion(const std::string& key,
   if (gc_sweep_active()) {
     FB_RETURN_IF_ERROR(PinReachableForSweep(store_.get(), uid));
   }
-  branch_table_.SetHead(key, new_branch, uid);
-  return Status::OK();
+  // The lease is shared, so racing creators can all pass the check above;
+  // Create lets exactly one of them publish.
+  return branch_table_.Create(key, new_branch, uid);
 }
 
 Status ForkBase::RenameBranch(const std::string& key, const std::string& from,
@@ -619,10 +607,11 @@ StatusOr<Hash256> ForkBase::Merge(const std::string& key,
                                   const std::string& dst_branch,
                                   const std::string& src_branch,
                                   MergePolicy policy, const PutMeta& meta) {
-  // With group commit, a fast-forward is a queue-ordered compare-and-
-  // advance; when it loses a race against a commit in the drain, the whole
-  // merge is recomputed against the new head. Bounded retries: contention
-  // this sustained means the caller should be merging less eagerly.
+  // Both the fast-forward and the merge commit are queue-ordered compare-
+  // and-sets against the dst head read below; when either loses a race
+  // against a commit in the drain, the whole merge is recomputed against
+  // the new head. Bounded retries: contention this sustained means the
+  // caller should be merging less eagerly.
   auto lease = AcquireWriteLease();
   constexpr int kMaxRaceRetries = 16;
   for (int attempt = 0; attempt < kMaxRaceRetries; ++attempt) {
@@ -633,8 +622,7 @@ StatusOr<Hash256> ForkBase::Merge(const std::string& key,
     FB_ASSIGN_OR_RETURN(Hash256 base_uid, CommonAncestor(dst_head, src_head));
     if (base_uid == src_head) return dst_head;  // src already in dst history
     if (base_uid == dst_head) {
-      // Fast-forward: dst is an ancestor of src. AdvanceHead is queue-
-      // ordered under group commit and a plain compare-and-set otherwise.
+      // Fast-forward: dst is an ancestor of src.
       auto advanced = AdvanceHeadLeased(key, dst_branch, dst_head, src_head);
       if (advanced.ok()) return *advanced;
       if (advanced.status().code() != StatusCode::kAlreadyExists) {
@@ -654,10 +642,8 @@ StatusOr<Hash256> ForkBase::Merge(const std::string& key,
     }
     auto committed = Commit(key, merged,
                             std::vector<Hash256>{dst_head, src_head},
-                            dst_branch, merge_meta,
-                            commit_queue_ ? std::optional<Hash256>(dst_head)
-                                          : std::nullopt);
-    if (commit_queue_ && !committed.ok() &&
+                            dst_branch, merge_meta, dst_head);
+    if (!committed.ok() &&
         committed.status().code() == StatusCode::kAlreadyExists) {
       continue;  // a commit landed after our head read: remerge against it
     }
@@ -788,14 +774,10 @@ ForkBaseStats ForkBase::Stat() const {
     cache.resident_bytes = cs.resident_bytes;
     stats.cache = cache;
   }
-  if (commit_queue_) {
-    auto qs = commit_queue_->stats();
-    ForkBaseStats::CommitQueueCounters queue;
-    queue.commits = qs.commits;
-    queue.batches = qs.batches;
-    queue.advances = qs.advances;
-    stats.commit_queue = queue;
-  }
+  auto qs = commit_queue_->stats();
+  stats.commit_queue.commits = qs.commits;
+  stats.commit_queue.batches = qs.batches;
+  stats.commit_queue.advances = qs.advances;
   if (hot_file_store_) {
     // Fold both file stores' maintenance counters into one section: the
     // operator question is "how much reclamation happened / is queued",
@@ -870,11 +852,9 @@ std::vector<std::pair<std::string, std::string>> ForkBaseStats::ToKeyValues()
     add("cache_evictions", cache->evictions);
     add("cache_resident_bytes", cache->resident_bytes);
   }
-  if (commit_queue) {
-    add("commit_queue_commits", commit_queue->commits);
-    add("commit_queue_batches", commit_queue->batches);
-    add("commit_queue_advances", commit_queue->advances);
-  }
+  add("commit_queue_commits", commit_queue.commits);
+  add("commit_queue_batches", commit_queue.batches);
+  add("commit_queue_advances", commit_queue.advances);
   if (maintenance) {
     add("maintenance_erased_chunks", maintenance->erased_chunks);
     add("maintenance_tombstone_records", maintenance->tombstone_records);

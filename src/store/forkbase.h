@@ -63,10 +63,11 @@ struct ObjectDiff {
 };
 
 /// Aggregate storage statistics (the demo's Stat view) — the single stats
-/// surface of a ForkBase instance. Per-layer sections (read cache, group-
-/// commit queue, file-store maintenance, tier) are present exactly when
-/// the instance has that layer; the CLI `stat` command and the server's
-/// STAT verb both render the one ToKeyValues() serialization.
+/// surface of a ForkBase instance. The commit queue section is always
+/// present; the other per-layer sections (read cache, file-store
+/// maintenance, tier) are present exactly when the instance has that
+/// layer. The CLI `stat` command and the server's STAT verb both render
+/// the one ToKeyValues() serialization.
 struct ForkBaseStats {
   ChunkStoreStats chunks;
   uint64_t keys = 0;
@@ -120,7 +121,7 @@ struct ForkBaseStats {
   uint64_t gc_swept_chunks = 0;
   uint64_t gc_swept_bytes = 0;
   std::optional<Cache> cache;
-  std::optional<CommitQueueCounters> commit_queue;
+  CommitQueueCounters commit_queue;
   std::optional<Maintenance> maintenance;
   std::optional<Tier> tier;
 
@@ -139,16 +140,15 @@ class ForkBase {
  public:
   static constexpr const char* kDefaultBranch = "master";
 
-  /// Unified configuration of a ForkBase instance — the one set of knobs
-  /// behind Open(), with the layer-specific sections nested. Replaces the
-  /// former Options/OpenOptions split.
+  /// Configuration of a ForkBase instance — the one set of knobs behind
+  /// Open(), with the layer-specific sections nested.
   struct Config {
     size_t cache_bytes = 64ull << 20;  ///< sharded LRU read-cache budget
     /// Background readers in the FileChunkStore (async scan prefetch);
     /// 0 = fully synchronous I/O.
     uint32_t prefetch_threads = 1;
-    /// fsync every append run (power-loss durability). Pair with
-    /// commit.group_commit so concurrent writers share one sync.
+    /// fsync every append run (power-loss durability). Concurrent writers
+    /// share one sync per commit-queue drain.
     bool fsync = false;
     /// Worker threads for background segment rewrites, per file store
     /// (hot and cold each get their own pool). Segment rewrites are
@@ -200,64 +200,27 @@ class ForkBase {
       uint64_t hot_bytes_budget = 0;
     };
 
-    /// Commit-pipeline section (also the direct-construction options).
-    struct Commit {
-      /// Batch concurrent Commit/Put calls into single PutMany runs
-      /// behind a group-commit queue (see store/commit_queue.h). Off by
-      /// default: the scalar path keeps its existing single-threaded
-      /// semantics and spawns no thread. With the queue on, racing
-      /// same-branch Puts chain into a linear history instead of
-      /// last-writer-wins.
-      bool group_commit = false;
-      /// Max FNodes landed per PutMany drain when group_commit is on.
-      size_t group_commit_max_batch = 128;
-    };
-
     Tier tier;
-    Commit commit;
   };
-  /// Legacy name for the commit section, kept so direct construction
-  /// (`ForkBase(store, Options{...})`) compiles unchanged.
-  using Options = Config::Commit;
 
-  /// @param store shared chunk storage (memory or file backed)
+  /// @param store shared chunk storage (memory or file backed). Every
+  /// commit goes through the instance's commit queue
+  /// (store/commit_queue.h), which owns one drain thread.
   explicit ForkBase(std::shared_ptr<ChunkStore> store);
-  ForkBase(std::shared_ptr<ChunkStore> store, const Options& options);
   ~ForkBase();
 
   /// Opens a production-shaped instance at `path`: a sharded-index
   /// FileChunkStore (with async prefetch workers) under a sharded LRU
   /// read cache, optionally tiered. This is the stack the CLI and the
-  /// server use, and the only non-deprecated open path; tests that need a
-  /// bare backend keep constructing ForkBase directly.
+  /// server use, and the only open path; tests that need a bare backend
+  /// construct ForkBase directly.
   static StatusOr<std::unique_ptr<ForkBase>> Open(const std::string& path);
   static StatusOr<std::unique_ptr<ForkBase>> Open(const std::string& path,
                                                   const Config& config);
 
-  /// Deprecated spelling of Config, kept so existing callers compile.
-  struct OpenOptions {
-    size_t cache_bytes = 64ull << 20;
-    uint32_t prefetch_threads = 1;
-    bool fsync = false;
-    std::string tier_cold_dir;
-    bool tier_write_back = false;
-    uint64_t hot_bytes_budget = 0;
-    Options options;  ///< group-commit etc.
-
-    /// The equivalent unified Config.
-    Config ToConfig() const;
-  };
-
-  [[deprecated("use ForkBase::Open(path, ForkBase::Config)")]]
-  static StatusOr<std::unique_ptr<ForkBase>> OpenPersistent(
-      const std::string& dir, size_t cache_bytes = 64ull << 20);
-  [[deprecated("use ForkBase::Open(path, ForkBase::Config)")]]
-  static StatusOr<std::unique_ptr<ForkBase>> OpenPersistent(
-      const std::string& dir, const OpenOptions& open_options);
-
   ChunkStore* store() { return store_.get(); }
   const ChunkStore* store() const { return store_.get(); }
-  /// The tiered layer of an OpenPersistent stack opened with a cold tier
+  /// The tiered layer of an Open stack opened with a cold tier
   /// (null otherwise) — the CLI surfaces its tier_stats() and tests drive
   /// flushes through it.
   TieredChunkStore* tiered() { return tiered_store_.get(); }
@@ -267,30 +230,40 @@ class ForkBase {
   // -- Writes ---------------------------------------------------------------
 
   /// Commits `value` as the new head of (key, branch). The branch is created
-  /// on first Put. Returns the new version uid.
+  /// on first Put. The parent is the head at commit time, so racing Puts to
+  /// one branch chain into a linear history. Returns the new version uid.
   StatusOr<Hash256> Put(const std::string& key, const Value& value,
                         const std::string& branch = kDefaultBranch,
                         const PutMeta& meta = PutMeta{});
 
   /// Conditional Put (compare-and-set): commits `value` with
   /// `expected_head` as its parent iff the branch head still equals
-  /// `expected_head` at commit time (drain time under group commit).
-  /// kAlreadyExists when the head has moved — the server's COMMIT verb and
-  /// optimistic clients retry from a fresh head.
+  /// `expected_head` when the commit queue drains it, so of racing PutIfs
+  /// with one expectation exactly one wins. kAlreadyExists when the head
+  /// has moved — the server's COMMIT verb and optimistic clients retry
+  /// from a fresh head.
   StatusOr<Hash256> PutIf(const std::string& key, const Value& value,
                           const Hash256& expected_head,
                           const std::string& branch = kDefaultBranch,
                           const PutMeta& meta = PutMeta{});
 
-  /// Fast-forward publish: sets the head of (key, branch) to `target` iff
-  /// it still equals `expected` (queue-ordered under group commit, so it
-  /// cannot interleave with a drain). Returns `target` on success;
-  /// kAlreadyExists when the head moved. Used by Merge's fast-forward path
-  /// and by the sync server to apply pushed branch heads.
+  /// Compare-and-advance: sets the head of (key, branch) to `target` iff
+  /// it still equals `expected` (queue-ordered, so it cannot interleave
+  /// with a drain). Returns `target` on success; kAlreadyExists when the
+  /// head moved. Used by Merge's fast-forward path and by FastForward.
   StatusOr<Hash256> AdvanceHead(const std::string& key,
                                 const std::string& branch,
                                 const Hash256& expected,
                                 const Hash256& target);
+
+  /// Moves (key, branch) forward to the existing version `uid` — the one
+  /// way a sync or bundle import publishes a head. Creates the branch if
+  /// absent. Returns true when the head moved (or was created), false when
+  /// it already equals `uid`; kMergeConflict when the branch has commits
+  /// `uid` does not include (it is never overwritten). Retries a bounded
+  /// number of times when a concurrent commit moves the head mid-check.
+  StatusOr<bool> FastForward(const std::string& key, const std::string& branch,
+                             const Hash256& uid);
 
   /// Convenience typed writers: build the object, then Put.
   StatusOr<Hash256> PutBlob(const std::string& key, Slice bytes,
@@ -376,7 +349,8 @@ class ForkBase {
   /// Creates `new_branch` at the head of `from_branch`.
   Status Branch(const std::string& key, const std::string& new_branch,
                 const std::string& from_branch = kDefaultBranch);
-  /// Creates `new_branch` at an explicit version.
+  /// Creates `new_branch` at an explicit version. kAlreadyExists if the
+  /// branch exists; of racing creators exactly one succeeds.
   Status BranchFromVersion(const std::string& key,
                            const std::string& new_branch, const Hash256& uid);
   Status RenameBranch(const std::string& key, const std::string& from,
@@ -398,6 +372,9 @@ class ForkBase {
   /// Three-way merge of `src_branch` into `dst_branch` (Fig. 3): finds the
   /// lowest common ancestor over the derivation DAG, merges the values, and
   /// commits an FNode with both heads as bases. Fast-forwards when possible.
+  /// The merge commit lands only if dst's head is still the one merged
+  /// against; when a concurrent commit moved it, the merge is recomputed
+  /// (bounded retries, then kMergeConflict).
   StatusOr<Hash256> Merge(const std::string& key,
                           const std::string& dst_branch,
                           const std::string& src_branch,
@@ -497,12 +474,11 @@ class ForkBase {
       const std::string& branch = kDefaultBranch) const;
 
  private:
-  /// `bases` nullopt = commit on top of the branch head at commit time
-  /// (Put); explicit bases record a merge's parents, with `expected_head`
-  /// as the drain-time precondition that the merged-against head has not
-  /// moved (group commit only — kAlreadyExists means recompute). Routes
-  /// through the group-commit queue when enabled, else writes and
-  /// publishes inline.
+  /// Enqueues one commit on the commit queue. `bases` nullopt = commit on
+  /// top of the branch head at drain time (Put); explicit bases record the
+  /// parents (PutIf, Merge), with `expected_head` as the drain-time
+  /// precondition that the branch head has not moved (kAlreadyExists means
+  /// recompute).
   StatusOr<Hash256> Commit(const std::string& key, const Value& value,
                            std::optional<std::vector<Hash256>> bases,
                            const std::string& branch, const PutMeta& meta,
@@ -531,8 +507,8 @@ class ForkBase {
   std::atomic<uint64_t> gc_sweeps_{0};
   std::atomic<uint64_t> gc_swept_chunks_{0};
   std::atomic<uint64_t> gc_swept_bytes_{0};
-  // Declared last: destroyed first, so a draining group commit can still
-  // reach the store, branch table and counters above.
+  // Declared last: destroyed first, so a draining commit can still reach
+  // the store, branch table and counters above.
   std::unique_ptr<CommitQueue> commit_queue_;
 };
 

@@ -1,8 +1,7 @@
 // The async I/O pipeline: WorkerPool, GetManyAsync across the store stack,
-// double-buffered cursor scans, pipelined diff/GC reads, and the
-// group-commit queue. Every async path is checked for result equivalence
-// with its synchronous twin — the pipeline must change latency, never
-// answers.
+// double-buffered cursor scans, pipelined diff/GC reads, and the commit
+// queue. Every async read path is checked for result equivalence with its
+// synchronous twin — the pipeline must change latency, never answers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -301,10 +300,8 @@ TEST(AsyncDiffGcTest, PipelinedDiffAndMarkMatchMemoryStore) {
   EXPECT_EQ(*live_or, expect);
 }
 
-TEST(GroupCommitTest, SingleThreadedSemanticsUnchanged) {
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+TEST(CommitQueueTest, SequentialPutsChainInOrder) {
+  ForkBase db(std::make_shared<MemChunkStore>());
 
   auto v1 = db.Put("k", Value::String("one"));
   ASSERT_TRUE(v1.ok());
@@ -320,10 +317,8 @@ TEST(GroupCommitTest, SingleThreadedSemanticsUnchanged) {
   EXPECT_EQ(db.Stat().commits, 2u);
 }
 
-TEST(GroupCommitTest, FastForwardAdvancesThroughQueue) {
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+TEST(CommitQueueTest, MergeFastForwardAdvancesThroughQueue) {
+  ForkBase db(std::make_shared<MemChunkStore>());
   ASSERT_TRUE(db.PutMap("ff", {{"a", "1"}}).ok());
   ASSERT_TRUE(db.Branch("ff", "side").ok());
   ASSERT_TRUE(db.UpdateMap("ff", {KeyedOp{"b", "2"}}, "side").ok());
@@ -338,15 +333,13 @@ TEST(GroupCommitTest, FastForwardAdvancesThroughQueue) {
   EXPECT_EQ(history->size(), 3u);
 }
 
-TEST(GroupCommitTest, RacingMergesAndPutsLoseNoCommit) {
+TEST(CommitQueueTest, RacingMergesAndPutsLoseNoCommit) {
   // One writer hammers master; another repeatedly advances a side branch
   // and merges it in (fast-forward when master is quiescent, a real merge
   // commit otherwise). Every returned uid must stay reachable from the
   // final master head through the bases DAG — the queue's ordered
   // compare-and-advance must never discard a landed commit.
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+  ForkBase db(std::make_shared<MemChunkStore>());
   ASSERT_TRUE(db.PutMap("race", {{"seed", "0"}}).ok());
   ASSERT_TRUE(db.Branch("race", "side").ok());
 
@@ -400,10 +393,8 @@ TEST(GroupCommitTest, RacingMergesAndPutsLoseNoCommit) {
   }
 }
 
-TEST(GroupCommitTest, MergeRecordsBothParents) {
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+TEST(CommitQueueTest, MergeRecordsBothParents) {
+  ForkBase db(std::make_shared<MemChunkStore>());
   ASSERT_TRUE(db.PutMap("m", {{"a", "1"}, {"b", "2"}}).ok());
   ASSERT_TRUE(db.Branch("m", "side").ok());
   ASSERT_TRUE(db.UpdateMap("m", {KeyedOp{"a", "10"}}).ok());

@@ -294,6 +294,36 @@ TEST_F(CliTest, PushPullReplicatesBetweenDatabases) {
   std::filesystem::remove_all(db2);
 }
 
+TEST_F(CliTest, PullFileRefusesToOverwriteADivergedBranch) {
+  // A bundle of an unrelated k@master from another database.
+  std::string db2 = ::testing::TempDir() + "/cli_db_unrelated";
+  std::filesystem::remove_all(db2);
+  std::string bundle_path = ::testing::TempDir() + "/cli_unrelated.fbb";
+  std::ostringstream oss, ess;
+  ASSERT_EQ(RunCli({"--db", db2, "put", "k", "a1"}, oss, ess), 0);
+  ASSERT_EQ(RunCli({"--db", db2, "push", "k", bundle_path}, oss, ess), 0)
+      << ess.str();
+
+  std::string b1, b2;
+  ASSERT_EQ(Run({"put", "k", "b1"}, &b1), 0);
+  ASSERT_EQ(Run({"put", "k", "b2"}, &b2), 0);
+  std::string out, err;
+  EXPECT_NE(Run({"pull", bundle_path}, &out, &err), 0);
+  EXPECT_NE(err.find("MergeConflict"), std::string::npos) << err;
+
+  // The refused pull left the head alone, so a sweep keeps both commits.
+  ASSERT_EQ(Run({"gc", "--in-place"}, &out, &err), 0) << err;
+  ASSERT_EQ(Run({"get", "k"}, &out), 0);
+  EXPECT_EQ(out, "b2\n");
+  ASSERT_EQ(Run({"history", "k"}, &out), 0);
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
+  EXPECT_NE(out.find(b1.substr(0, 52)), std::string::npos);
+  EXPECT_NE(out.find(b2.substr(0, 52)), std::string::npos);
+  EXPECT_EQ(Run({"verify-all"}, &out, &err), 0) << err;
+  std::filesystem::remove(bundle_path);
+  std::filesystem::remove_all(db2);
+}
+
 TEST_F(CliTest, StatKeyReportsObjectShape) {
   CsvGenOptions opts;
   opts.num_rows = 400;

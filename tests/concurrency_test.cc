@@ -7,6 +7,7 @@
 #include <atomic>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -311,21 +312,18 @@ TEST(ConcurrencyTest, ReadersDuringWrites) {
   EXPECT_EQ(**db.GetMap("live")->Get("hot-key"), "99");
 }
 
-TEST(ConcurrencyTest, GroupCommitSameBranchLinearizesRacingPuts) {
-  // N threads hammer Put on ONE key+branch. With the group-commit queue,
-  // bases are resolved at drain time, so every commit chains onto the
-  // previous one: the final history must contain all N*M versions, ending
-  // at the published head — a linearizable total order, not
-  // last-writer-wins.
+TEST(ConcurrencyTest, SameBranchRacingPutsLinearize) {
+  // N threads hammer Put on ONE key+branch. The commit queue resolves
+  // bases at drain time, so every commit chains onto the previous one:
+  // the final history must contain all N*M versions, ending at the
+  // published head — a linearizable total order, not last-writer-wins.
   const std::string dir = ::testing::TempDir() + "/fb_group_same_branch";
   std::filesystem::remove_all(dir);
   constexpr int kWriters = 4;
   constexpr int kCommits = 50;
   std::vector<Hash256> uids[kWriters];
   {
-    ForkBase::OpenOptions open;
-    open.options.group_commit = true;
-    auto db_or = ForkBase::OpenPersistent(dir, open);
+    auto db_or = ForkBase::Open(dir);
     ASSERT_TRUE(db_or.ok());
     ForkBase& db = **db_or;
     std::atomic<int> failures{0};
@@ -375,16 +373,15 @@ TEST(ConcurrencyTest, GroupCommitSameBranchLinearizesRacingPuts) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ConcurrencyTest, GroupCommitDistinctBranchesKeepIndependentChains) {
+TEST(ConcurrencyTest, DistinctBranchesKeepIndependentChains) {
+  // Racing writers on distinct branches of one key each keep a full
+  // private chain.
   const std::string dir = ::testing::TempDir() + "/fb_group_branches";
   std::filesystem::remove_all(dir);
   constexpr int kWriters = 4;
   constexpr int kCommits = 40;
   {
-    ForkBase::OpenOptions open;
-    open.options.group_commit = true;
-    open.options.group_commit_max_batch = 8;  // force multi-drain groups
-    auto db_or = ForkBase::OpenPersistent(dir, open);
+    auto db_or = ForkBase::Open(dir);
     ASSERT_TRUE(db_or.ok());
     ForkBase& db = **db_or;
     std::atomic<int> failures{0};
@@ -418,30 +415,99 @@ TEST(ConcurrencyTest, GroupCommitDistinctBranchesKeepIndependentChains) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ConcurrencyTest, ScalarCommitDistinctBranchesStillSafe) {
-  // Group commit OFF: racing writers on distinct branches of one key must
-  // still each see a full private chain (the scalar path's contract).
-  ForkBase db(std::make_shared<MemChunkStore>());  // group_commit off
-  constexpr int kWriters = 4;
-  constexpr int kCommits = 40;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&db, &failures, t] {
-      const std::string branch = "b" + std::to_string(t);
-      for (int i = 0; i < kCommits; ++i) {
-        if (!db.Put("key", Value::String(std::to_string(i)), branch).ok()) {
-          ++failures;
-        }
+TEST(ConcurrencyTest, PutIfHasExactlyOneWinner) {
+  // Compare-and-set on the stack the CLI and the server open, with the
+  // default Config: racing PutIfs that expect the same head have exactly
+  // one winner, every loser gets kAlreadyExists, and the head is the
+  // winner's version. Large values widen the window between reading the
+  // head and publishing it, where a check-then-set would let a second
+  // racer through.
+  const std::string dir = ::testing::TempDir() + "/fb_putif_one_winner";
+  std::filesystem::remove_all(dir);
+  constexpr int kRacers = 4;
+  constexpr int kTrials = 500;
+  {
+    auto db_or = ForkBase::Open(dir);
+    ASSERT_TRUE(db_or.ok());
+    ForkBase& db = **db_or;
+    auto seed = db.Put("cas", Value::String("seed"));
+    ASSERT_TRUE(seed.ok());
+    Hash256 expected = *seed;
+    std::vector<std::string> values;
+    for (int t = 0; t < kRacers; ++t) {
+      values.emplace_back(64 << 10, static_cast<char>('a' + t));
+    }
+    for (int trial = 0; trial < kTrials; ++trial) {
+      std::atomic<int> arrived{0};
+      std::vector<std::optional<Hash256>> won(kRacers);
+      std::atomic<int> other_errors{0};
+      std::vector<std::thread> racers;
+      for (int t = 0; t < kRacers; ++t) {
+        racers.emplace_back([&, t] {
+          arrived.fetch_add(1);
+          while (arrived.load() < kRacers) std::this_thread::yield();
+          auto uid = db.PutIf("cas", Value::String(values[t]), expected);
+          if (uid.ok()) {
+            won[t] = *uid;
+          } else if (uid.status().code() != StatusCode::kAlreadyExists) {
+            ++other_errors;
+          }
+        });
       }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  for (int t = 0; t < kWriters; ++t) {
-    auto history = db.History("key", "b" + std::to_string(t));
+      for (auto& t : racers) t.join();
+      ASSERT_EQ(other_errors.load(), 0) << "trial " << trial;
+      std::vector<Hash256> winners;
+      for (const auto& uid : won) {
+        if (uid) winners.push_back(*uid);
+      }
+      ASSERT_EQ(winners.size(), 1u) << "trial " << trial;
+      ASSERT_EQ(*db.Head("cas"), winners[0]) << "trial " << trial;
+      expected = winners[0];
+    }
+    auto history = db.History("cas");
     ASSERT_TRUE(history.ok());
-    EXPECT_EQ(history->size(), static_cast<size_t>(kCommits));
+    EXPECT_EQ(history->size(), static_cast<size_t>(kTrials) + 1);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ConcurrencyTest, RacingBranchFromVersionHasOneCreator) {
+  // Eight threads create the same branch, each from a different version:
+  // exactly one succeeds, the rest get kAlreadyExists, and the branch
+  // head is the winner's version.
+  ForkBase db(std::make_shared<MemChunkStore>());
+  constexpr int kCreators = 8;
+  constexpr int kTrials = 50;
+  std::vector<Hash256> versions;
+  for (int t = 0; t < kCreators; ++t) {
+    auto uid = db.Put("k", Value::String("v" + std::to_string(t)));
+    ASSERT_TRUE(uid.ok());
+    versions.push_back(*uid);
+  }
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::string branch = "race" + std::to_string(trial);
+    std::atomic<int> arrived{0};
+    std::vector<Status> results(kCreators);
+    std::vector<std::thread> creators;
+    for (int t = 0; t < kCreators; ++t) {
+      creators.emplace_back([&, t] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kCreators) std::this_thread::yield();
+        results[t] = db.BranchFromVersion("k", branch, versions[t]);
+      });
+    }
+    for (auto& t : creators) t.join();
+    int winner = -1;
+    for (int t = 0; t < kCreators; ++t) {
+      if (results[t].ok()) {
+        ASSERT_EQ(winner, -1) << "two creators of " << branch;
+        winner = t;
+      } else {
+        EXPECT_EQ(results[t].code(), StatusCode::kAlreadyExists);
+      }
+    }
+    ASSERT_NE(winner, -1) << branch;
+    EXPECT_EQ(*db.Head("k", branch), versions[winner]) << branch;
   }
 }
 

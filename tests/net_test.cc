@@ -1,7 +1,7 @@
 // Wire-protocol and server front-end tests: frame codec robustness against
 // torn/oversized/garbage input, and a loopback ForkBaseServer multiplexing
 // concurrent client sessions onto one instance — bit-exact reads, same-branch
-// commits linearized through the group-commit queue, and the hardening edge:
+// commits linearized through the commit queue, and the hardening edge:
 // transport deadlines, handshake/idle/request expiry, rate limits with
 // retry-after, overload shedding, and bounded-outbox backpressure against a
 // reader that stops draining.
@@ -194,9 +194,7 @@ TEST(ServerTest, RoundTripAndErrors) {
 }
 
 TEST(ServerTest, EightConcurrentSessionsBitExact) {
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+  ForkBase db(std::make_shared<MemChunkStore>());
   auto server = ForkBaseServer::Start(&db, TestAddress("conc"));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -244,9 +242,7 @@ TEST(ServerTest, EightConcurrentSessionsBitExact) {
 }
 
 TEST(ServerTest, SameBranchCommitsLinearizedNotLost) {
-  ForkBase::Options options;
-  options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), options);
+  ForkBase db(std::make_shared<MemChunkStore>());
   auto server = ForkBaseServer::Start(&db, TestAddress("linear"));
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -539,9 +535,7 @@ TEST(ServerTest, IngressLimitedUploadCompletes) {
 // -- Backpressure acceptance --------------------------------------------------
 
 TEST(ServerTest, SlowPullReaderIsBoundedAndDisconnectedWhileOthersServe) {
-  ForkBase::Options db_options;
-  db_options.group_commit = true;
-  ForkBase db(std::make_shared<MemChunkStore>(), db_options);
+  ForkBase db(std::make_shared<MemChunkStore>());
   // ~4 MiB of incompressible blob: pulling its closure must flow through
   // the bounded outbox rather than pile up server-side.
   Rng rng(1234);
