@@ -231,6 +231,33 @@ void BM_MapCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_MapCommit)->Arg(1000)->Arg(10000)->Arg(100000);
 
+void BM_MapApplyMany(benchmark::State& state) {
+  // One batch of updates spread over the whole map (UpsertRows, Merge3):
+  // 64 ops leave most leaves alone, 4096 touch nearly every leaf — the
+  // dense case, where the splice degrades to one pass over the tree.
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t batch = static_cast<size_t>(state.range(1));
+  MemChunkStore store;
+  auto kvs = RandomKvs(n, n);
+  auto info = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
+  PosTree tree(&store, ChunkType::kMapLeaf, info->root);
+  Rng rng(9);
+  int round = 0;
+  for (auto _ : state) {
+    std::vector<KeyedOp> ops;
+    ops.reserve(batch);
+    for (size_t i = 0; i < batch; ++i) {
+      ops.push_back(KeyedOp{kvs[rng.Uniform(kvs.size())].first,
+                            "v" + std::to_string(round)});
+    }
+    ++round;
+    auto updated = tree.ApplyKeyedOps(std::move(ops));
+    benchmark::DoNotOptimize(updated.ok());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * batch));
+}
+BENCHMARK(BM_MapApplyMany)->Args({100000, 64})->Args({100000, 4096});
+
 void BM_MapScan(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   MemChunkStore store;

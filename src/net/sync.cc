@@ -15,6 +15,33 @@ namespace forkbase {
 
 namespace {
 
+/// Chunks the peer holds for sure, given heads it has that this store also
+/// holds: every version in their history (the FNodes) plus the closure of
+/// the heads' own values. Pages only older versions reach are left out, so
+/// a push walks O(versions + head size) chunks instead of every page of
+/// every version; a page an old version shares with the new one is a
+/// candidate the Offer rounds then drop.
+StatusOr<std::unordered_set<Hash256, Hash256Hasher>> PeerFrontier(
+    const ChunkStore& store, const std::vector<Hash256>& heads) {
+  std::vector<Hash256> values;
+  for (const auto& uid : heads) {
+    FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(&store, uid));
+    if (node.value.is_container()) values.push_back(node.value.root());
+  }
+  std::unordered_set<Hash256, Hash256Hasher> known;
+  std::vector<Hash256> pending = heads;
+  while (!pending.empty()) {
+    const Hash256 uid = pending.back();
+    pending.pop_back();
+    if (!known.insert(uid).second) continue;
+    FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(&store, uid));
+    pending.insert(pending.end(), node.bases.begin(), node.bases.end());
+  }
+  FB_ASSIGN_OR_RETURN(auto pages, MarkLive(store, values, &known));
+  known.insert(pages.begin(), pages.end());
+  return known;
+}
+
 struct Target {
   std::string key;
   std::string branch;
@@ -94,7 +121,7 @@ Status SyncPushInto(ForkBase* db, ForkBaseClient* client,
   for (const auto& h : remote_heads) {
     if (db->store()->Contains(h.uid)) have.push_back(h.uid);
   }
-  FB_ASSIGN_OR_RETURN(auto excluded, MarkLive(*db->store(), have));
+  FB_ASSIGN_OR_RETURN(auto excluded, PeerFrontier(*db->store(), have));
   FB_ASSIGN_OR_RETURN(auto delta, MarkLive(*db->store(), want, &excluded));
   std::vector<Hash256> candidates(delta.begin(), delta.end());
   std::sort(candidates.begin(), candidates.end());

@@ -2,25 +2,38 @@
 
 namespace forkbase {
 
+Chunk NodeWriter::Seal(IndexEntry* entry) {
+  Chunk chunk = Chunk::Make(type_, buffer_);
+  entry->child = chunk.hash();
+  entry->count = count_;
+  entry->key = std::move(last_key_);
+  buffer_.clear();
+  count_ = 0;
+  entries_ = 0;
+  last_key_.clear();
+  splitter_.ResetNode();
+  return chunk;
+}
+
 TreeBuilder::TreeBuilder(ChunkStore* store, ChunkType leaf_type,
                          TreeConfig config)
     : store_(store), leaf_type_(leaf_type), config_(config) {}
 
+TreeBuilder::Level& TreeBuilder::LeafLevel() {
+  if (levels_.empty()) {
+    levels_.push_back(Level{NodeWriter(leaf_type_, config_.leaf), {}, 0});
+  }
+  return levels_[0];
+}
+
 Status TreeBuilder::AddIndexEntry(size_t level, const IndexEntry& e) {
   while (levels_.size() <= level) {
-    Level lv;
-    lv.splitter = std::make_unique<NodeSplitter>(
-        levels_.empty() ? config_.leaf : config_.index);
-    levels_.push_back(std::move(lv));
+    levels_.push_back(
+        Level{NodeWriter(ChunkType::kMeta, config_.index), {}, 0});
   }
   Level& lv = levels_[level];
-  std::string bytes = EncodeIndexEntry(e);
-  lv.buffer.append(bytes);
-  lv.buffer_count += e.count;
-  lv.last_key = e.key;
-  if (lv.buffer_entries == 0) lv.first_pending = e;
-  ++lv.buffer_entries;
-  if (lv.splitter->AddEntry(bytes)) {
+  if (lv.writer.empty()) lv.first_pending = e;
+  if (lv.writer.Add(EncodeIndexEntry(e), e.key, e.count)) {
     return CloseNode(level);
   }
   return Status::OK();
@@ -28,20 +41,8 @@ Status TreeBuilder::AddIndexEntry(size_t level, const IndexEntry& e) {
 
 Status TreeBuilder::AddEntry(Slice entry_bytes, Slice key) {
   if (finished_) return Status::InvalidArgument("builder already finished");
-  if (levels_.empty()) {
-    Level lv;
-    lv.splitter = std::make_unique<NodeSplitter>(config_.leaf);
-    levels_.push_back(std::move(lv));
-  }
-  Level& lv = levels_[0];
-  lv.buffer.append(entry_bytes.data(), entry_bytes.size());
-  lv.buffer_count += 1;
-  lv.last_key.assign(key.data(), key.size());
-  ++lv.buffer_entries;
   ++entries_added_;
-  if (lv.splitter->AddEntry(entry_bytes)) {
-    return CloseNode(0);
-  }
+  if (LeafLevel().writer.Add(entry_bytes, key, 1)) return CloseNode(0);
   return Status::OK();
 }
 
@@ -50,22 +51,15 @@ Status TreeBuilder::AddBytes(Slice bytes) {
   if (leaf_type_ != ChunkType::kBlobLeaf) {
     return Status::InvalidArgument("AddBytes only valid for blob trees");
   }
-  if (levels_.empty()) {
-    Level lv;
-    lv.splitter = std::make_unique<NodeSplitter>(config_.leaf);
-    levels_.push_back(std::move(lv));
-  }
+  LeafLevel();
   // Block feed: the splitter consumes up to a cut decision per call, so the
   // open node's bytes append in bulk instead of one push_back per byte.
   const uint8_t* p = bytes.udata();
   size_t remaining = bytes.size();
   while (remaining > 0) {
-    Level& lv = levels_[0];  // re-fetch: CloseNode may grow levels_
     bool cut = false;
-    const size_t took = lv.splitter->Feed(p, remaining, &cut);
-    lv.buffer.append(reinterpret_cast<const char*>(p), took);
-    lv.buffer_count += took;
-    lv.buffer_entries += took;
+    // Re-fetch levels_[0] each pass: CloseNode may grow levels_.
+    const size_t took = levels_[0].writer.AddBytes(p, remaining, &cut);
     entries_added_ += took;
     p += took;
     remaining -= took;
@@ -76,13 +70,6 @@ Status TreeBuilder::AddBytes(Slice bytes) {
   return Status::OK();
 }
 
-namespace {
-// Closed nodes staged before one batched store write. 64 nodes ≈ a few
-// hundred KiB — enough to amortize the store's per-batch flush without
-// holding a meaningful slice of the tree in memory.
-constexpr size_t kPutBatch = 64;
-}  // namespace
-
 Status TreeBuilder::FlushPending() {
   if (pending_chunks_.empty()) return Status::OK();
   FB_RETURN_IF_ERROR(store_->PutMany(pending_chunks_));
@@ -91,25 +78,15 @@ Status TreeBuilder::FlushPending() {
 }
 
 Status TreeBuilder::CloseNode(size_t level) {
-  Level& lv = levels_[level];
-  Chunk chunk = Chunk::Make(TypeOfLevel(level), lv.buffer);
+  IndexEntry e;
   // The index entry only needs the hash (computed locally), so the write can
   // be deferred into a batch; nothing reads chunks mid-build.
-  pending_chunks_.push_back(chunk);
-  if (pending_chunks_.size() >= kPutBatch) {
+  pending_chunks_.push_back(levels_[level].writer.Seal(&e));
+  if (pending_chunks_.size() >= kTreePutBatch) {
     FB_RETURN_IF_ERROR(FlushPending());
   }
-  IndexEntry e;
-  e.child = chunk.hash();
-  e.count = lv.buffer_count;
-  e.key = lv.last_key;
-  ++lv.nodes_closed;
+  ++levels_[level].nodes_closed;
   ++nodes_written_;
-  lv.buffer.clear();
-  lv.buffer_count = 0;
-  lv.buffer_entries = 0;
-  lv.last_key.clear();
-  lv.splitter->ResetNode();
   return AddIndexEntry(level + 1, e);
 }
 
@@ -137,7 +114,7 @@ StatusOr<TreeInfo> TreeBuilder::Finish() {
     // pending index entry is redundant — its single child is the root.
     // (Such a level is necessarily the topmost: lower levels only push
     // upward when they close nodes.)
-    if (level > 0 && lv.nodes_closed == 0 && lv.buffer_entries == 1) {
+    if (level > 0 && lv.nodes_closed == 0 && lv.writer.entries() == 1) {
       FB_RETURN_IF_ERROR(FlushPending());
       TreeInfo info;
       info.root = lv.first_pending.child;
@@ -146,7 +123,7 @@ StatusOr<TreeInfo> TreeBuilder::Finish() {
       info.nodes_written = nodes_written_;
       return info;
     }
-    if (lv.buffer_entries > 0) {
+    if (!lv.writer.empty()) {
       FB_RETURN_IF_ERROR(CloseNode(level));
     }
   }

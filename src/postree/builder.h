@@ -10,10 +10,14 @@
 // (structural invariance), and builds of overlapping record sets share all
 // chunks outside the divergence region (recursive identity): the chunk
 // store's idempotent Put turns that sharing into physical deduplication.
+//
+// A from-scratch build costs O(N). Edits of an existing tree do not come
+// through here: TreeSplicer (splice.h) rewrites only the nodes an edit
+// touches, O(edits × height × node size), and this builder is the oracle
+// it must match bit for bit.
 #ifndef FORKBASE_POSTREE_BUILDER_H_
 #define FORKBASE_POSTREE_BUILDER_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,6 +48,67 @@ struct TreeConfig {
   static TreeConfig ForEntries() { return TreeConfig{}; }
 };
 
+/// Closed nodes staged before one batched store write. 64 nodes ≈ a few
+/// hundred KiB — enough to amortize the store's per-batch flush without
+/// holding a meaningful slice of the tree in memory.
+inline constexpr size_t kTreePutBatch = 64;
+
+/// The open node of one tree level: accumulates serialized entries, asks the
+/// level's splitter after each one whether the node closes, and seals the
+/// node into a chunk plus the index entry that references it. TreeBuilder
+/// stacks one per level; TreeSplicer drives one per rebuilt window.
+class NodeWriter {
+ public:
+  NodeWriter(ChunkType type, const SplitConfig& config)
+      : type_(type), splitter_(config) {}
+
+  /// Appends one serialized entry covering `count` leaf entries whose max
+  /// key is `key`. Returns true iff the node must close after it (Seal()).
+  bool Add(Slice raw, Slice key, uint64_t count) {
+    buffer_.append(raw.data(), raw.size());
+    count_ += count;
+    ++entries_;
+    last_key_.assign(key.data(), key.size());
+    return splitter_.AddEntry(raw);
+  }
+
+  /// Blob leaves: appends bytes from p[0..n) up to and including the first
+  /// cut; returns the number taken and sets *cut iff the node must close.
+  size_t AddBytes(const uint8_t* p, size_t n, bool* cut) {
+    const size_t took = splitter_.Feed(p, n, cut);
+    buffer_.append(reinterpret_cast<const char*>(p), took);
+    count_ += took;
+    entries_ += took;
+    return took;
+  }
+
+  /// Appends a run of `entries` serialized entries (covering `count` leaf
+  /// entries, max key `key`) known not to close the node; see
+  /// NodeSplitter::Skip.
+  void AddRun(Slice raw, Slice key, uint64_t count, uint64_t entries) {
+    buffer_.append(raw.data(), raw.size());
+    count_ += count;
+    entries_ += entries;
+    last_key_.assign(key.data(), key.size());
+    splitter_.Skip(raw.udata(), raw.size());
+  }
+
+  /// Closes the open node: returns its chunk and fills `entry` with the
+  /// index entry that references it. The writer starts a fresh node.
+  Chunk Seal(IndexEntry* entry);
+
+  bool empty() const { return entries_ == 0; }
+  uint64_t entries() const { return entries_; }
+
+ private:
+  ChunkType type_;
+  NodeSplitter splitter_;
+  std::string buffer_;     ///< serialized bytes of the open node
+  uint64_t count_ = 0;     ///< leaf entries covered by the open node
+  uint64_t entries_ = 0;   ///< entries in the open node
+  std::string last_key_;   ///< max key in the open node
+};
+
 /// Streaming builder. Usage: construct, Add*() in order, Finish().
 class TreeBuilder {
  public:
@@ -66,11 +131,7 @@ class TreeBuilder {
 
  private:
   struct Level {
-    std::unique_ptr<NodeSplitter> splitter;
-    std::string buffer;           ///< serialized bytes of the open node
-    uint64_t buffer_count = 0;    ///< leaf entries covered by the open node
-    uint64_t buffer_entries = 0;  ///< entries in the open node
-    std::string last_key;         ///< max key in the open node
+    NodeWriter writer;
     IndexEntry first_pending;     ///< first entry of the open node (collapse)
     uint64_t nodes_closed = 0;
   };
@@ -84,9 +145,8 @@ class TreeBuilder {
   Status FlushPending();
   /// Feeds an index entry into level `level` (≥1).
   Status AddIndexEntry(size_t level, const IndexEntry& e);
-  ChunkType TypeOfLevel(size_t level) const {
-    return level == 0 ? leaf_type_ : ChunkType::kMeta;
-  }
+  /// The leaf level, created on first use.
+  Level& LeafLevel();
 
   ChunkStore* store_;
   ChunkType leaf_type_;

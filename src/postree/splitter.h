@@ -14,10 +14,12 @@
 // therefore dominate the window — the constructor raises `min_bytes` to
 // `window` if a config says otherwise (both stock configs already do).
 // The rolling window resets at every node start, so boundary decisions
-// depend only on bytes within the current node — this is what lets an
-// incremental rebuild resynchronize with an existing chunk sequence at the
-// first coinciding boundary, and what makes cut points a pure function of
-// the byte stream regardless of how callers slice their writes.
+// depend only on bytes within the current node. That makes cut points a
+// pure function of the byte stream regardless of how callers slice their
+// writes, and it is what lets TreeSplicer (splice.h) edit a tree by
+// rewriting only the nodes an edit's bytes reach: it resynchronizes with
+// the existing node sequence at the first coinciding boundary, so an edit
+// costs O(edits × height × node size) splitter bytes, not O(N).
 #ifndef FORKBASE_POSTREE_SPLITTER_H_
 #define FORKBASE_POSTREE_SPLITTER_H_
 
@@ -127,6 +129,15 @@ class NodeSplitter {
     consumed += span;
     if (span == room) *cut = true;  // max_bytes reached
     return consumed;
+  }
+
+  /// Feeds bytes known not to close the node, without testing them: a
+  /// prefix of an old node re-fed from that node's start (the node had no
+  /// cut there, and the window state is the same). Only the ring takes the
+  /// bytes, so this is O(min(n, window)).
+  void Skip(const uint8_t* p, size_t n) {
+    roller_.SkipRoll(p, n);
+    node_bytes_ += n;
   }
 
   /// Starts a new node: clears size and window state.

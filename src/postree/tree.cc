@@ -211,53 +211,28 @@ StatusOr<TreeInfo> PosTree::ApplyKeyedOps(std::vector<KeyedOp> ops) const {
                    [](const KeyedOp& a, const KeyedOp& b) {
                      return a.key < b.key;
                    });
-  // Deduplicate, keeping the last op per key.
-  std::vector<KeyedOp> unique_ops;
-  unique_ops.reserve(ops.size());
+  TreeSplicer splicer(const_cast<ChunkStore*>(store_), leaf_type_, config_,
+                      root_);
+  FB_RETURN_IF_ERROR(splicer.Open());
   for (size_t i = 0; i < ops.size(); ++i) {
     if (i + 1 < ops.size() && ops[i + 1].key == ops[i].key) continue;
-    unique_ops.push_back(std::move(ops[i]));
-  }
-
-  TreeBuilder builder(const_cast<ChunkStore*>(store_), leaf_type_, config_);
-  auto emit = [&](Slice key, Slice value) -> Status {
-    std::string entry = leaf_type_ == ChunkType::kMapLeaf
-                            ? EncodeMapEntry(key, value)
-                            : EncodeSetEntry(key);
-    return builder.AddEntry(entry, key);
-  };
-  FB_ASSIGN_OR_RETURN(TreeCursor cursor, TreeCursor::AtStart(store_, root_));
-  size_t op_index = 0;
-  while (!cursor.done()) {
-    const EntryView& entry = cursor.entry();
-    // Emit ops for keys strictly before the current entry.
-    while (op_index < unique_ops.size() &&
-           Slice(unique_ops[op_index].key) < entry.key) {
-      const KeyedOp& op = unique_ops[op_index++];
-      if (op.value.has_value()) {
-        FB_RETURN_IF_ERROR(emit(op.key, *op.value));
-      }
-      // delete of a non-existent key: no-op
-    }
-    if (op_index < unique_ops.size() &&
-        Slice(unique_ops[op_index].key) == entry.key) {
-      const KeyedOp& op = unique_ops[op_index++];
-      if (op.value.has_value()) {
-        FB_RETURN_IF_ERROR(emit(op.key, *op.value));
-      }
-      // deletion: skip the old entry
-    } else {
-      FB_RETURN_IF_ERROR(builder.AddEntry(entry.raw, entry.key));
-    }
-    FB_RETURN_IF_ERROR(cursor.Next());
-  }
-  while (op_index < unique_ops.size()) {
-    const KeyedOp& op = unique_ops[op_index++];
+    KeyedOp& op = ops[i];
+    bool found = false;
+    FB_ASSIGN_OR_RETURN(TreePos begin, splicer.SeekKey(op.key, &found));
+    if (!found && !op.value.has_value()) continue;  // delete of a missing key
+    TreePos end = begin;
+    if (found) ++end.back();
+    std::vector<SpliceEntry> entries;
     if (op.value.has_value()) {
-      FB_RETURN_IF_ERROR(emit(op.key, *op.value));
+      std::string raw = leaf_type_ == ChunkType::kMapLeaf
+                            ? EncodeMapEntry(op.key, *op.value)
+                            : EncodeSetEntry(op.key);
+      entries.push_back({std::move(raw), std::move(op.key), 1});
     }
+    FB_RETURN_IF_ERROR(
+        splicer.Replace(std::move(begin), std::move(end), std::move(entries)));
   }
-  return builder.Finish();
+  return splicer.Finish();
 }
 
 StatusOr<TreeInfo> PosTree::SpliceElements(
@@ -266,33 +241,12 @@ StatusOr<TreeInfo> PosTree::SpliceElements(
   if (leaf_type_ != ChunkType::kListLeaf) {
     return Status::InvalidArgument("SpliceElements requires a list tree");
   }
-  TreeBuilder builder(const_cast<ChunkStore*>(store_), leaf_type_, config_);
-  FB_ASSIGN_OR_RETURN(TreeCursor cursor, TreeCursor::AtStart(store_, root_));
-  uint64_t index = 0;
-  bool inserted = false;
-  auto emit_inserts = [&]() -> Status {
-    for (const auto& e : inserts) {
-      FB_RETURN_IF_ERROR(builder.AddEntry(EncodeListEntry(e), Slice()));
-    }
-    inserted = true;
-    return Status::OK();
-  };
-  while (!cursor.done()) {
-    if (index == start && !inserted) {
-      FB_RETURN_IF_ERROR(emit_inserts());
-    }
-    if (index >= start && index < start + remove) {
-      // removed element: skip
-    } else {
-      FB_RETURN_IF_ERROR(builder.AddEntry(cursor.entry().raw, Slice()));
-    }
-    ++index;
-    FB_RETURN_IF_ERROR(cursor.Next());
+  std::vector<SpliceEntry> entries;
+  entries.reserve(inserts.size());
+  for (const auto& e : inserts) {
+    entries.push_back({EncodeListEntry(e), std::string(), 1});
   }
-  if (!inserted) {
-    FB_RETURN_IF_ERROR(emit_inserts());  // append at/after end
-  }
-  return builder.Finish();
+  return Splice(start, remove, std::move(entries));
 }
 
 StatusOr<TreeInfo> PosTree::SpliceBytes(uint64_t offset, uint64_t remove,
@@ -300,46 +254,28 @@ StatusOr<TreeInfo> PosTree::SpliceBytes(uint64_t offset, uint64_t remove,
   if (leaf_type_ != ChunkType::kBlobLeaf) {
     return Status::InvalidArgument("SpliceBytes requires a blob tree");
   }
-  FB_ASSIGN_OR_RETURN(uint64_t total, Count());
-  if (offset > total) offset = total;
-  if (offset + remove > total) remove = total - offset;
-  TreeBuilder builder(const_cast<ChunkStore*>(store_), leaf_type_, config_);
-  // Stream leaves, carving out the spliced range.
-  FB_ASSIGN_OR_RETURN(TreeCursor cursor, TreeCursor::AtStart(store_, root_));
-  uint64_t pos = 0;
-  bool inserted = false;
-  auto maybe_insert = [&](uint64_t at) -> Status {
-    if (!inserted && at >= offset) {
-      FB_RETURN_IF_ERROR(builder.AddBytes(insert));
-      inserted = true;
-    }
-    return Status::OK();
-  };
-  while (!cursor.done()) {
-    Slice payload = cursor.leaf().payload();
-    uint64_t leaf_start = pos;
-    uint64_t leaf_end = pos + payload.size();
-    if (leaf_end <= offset || leaf_start >= offset + remove) {
-      // Leaf entirely outside the removed range.
-      if (leaf_start >= offset) FB_RETURN_IF_ERROR(maybe_insert(leaf_start));
-      FB_RETURN_IF_ERROR(builder.AddBytes(payload));
-    } else {
-      // Overlaps the removed range: keep the outside pieces.
-      if (leaf_start < offset) {
-        FB_RETURN_IF_ERROR(
-            builder.AddBytes(payload.substr(0, offset - leaf_start)));
-      }
-      FB_RETURN_IF_ERROR(maybe_insert(offset));
-      if (leaf_end > offset + remove) {
-        uint64_t keep_from = offset + remove - leaf_start;
-        FB_RETURN_IF_ERROR(builder.AddBytes(payload.substr(keep_from)));
-      }
-    }
-    pos = leaf_end;
-    FB_RETURN_IF_ERROR(cursor.NextLeaf());
+  std::vector<SpliceEntry> entries;
+  if (!insert.empty()) {
+    entries.push_back({insert.ToString(), std::string(), insert.size()});
   }
-  FB_RETURN_IF_ERROR(maybe_insert(pos));
-  return builder.Finish();
+  return Splice(offset, remove, std::move(entries));
+}
+
+StatusOr<TreeInfo> PosTree::Splice(uint64_t start, uint64_t remove,
+                                   std::vector<SpliceEntry> entries) const {
+  TreeSplicer splicer(const_cast<ChunkStore*>(store_), leaf_type_, config_,
+                      root_);
+  FB_RETURN_IF_ERROR(splicer.Open());
+  const uint64_t total = splicer.count();
+  if (start > total) start = total;  // splices past the end append
+  if (remove > total - start) remove = total - start;
+  if (remove > 0 || !entries.empty()) {
+    FB_ASSIGN_OR_RETURN(TreePos begin, splicer.SeekIndex(start));
+    FB_ASSIGN_OR_RETURN(TreePos end, splicer.SeekIndex(start + remove));
+    FB_RETURN_IF_ERROR(
+        splicer.Replace(std::move(begin), std::move(end), std::move(entries)));
+  }
+  return splicer.Finish();
 }
 
 StatusOr<PosTree::ValidateResult> PosTree::ValidateNode(const Hash256& id,

@@ -1,8 +1,8 @@
 // PosTree — handle over an immutable POS-Tree rooted at a chunk id.
 //
-// All mutating operations are functional: they build a new tree (sharing
-// unchanged chunks with the old one through the deduplicating store) and
-// return its TreeInfo; the receiver is never modified. This is what makes
+// All mutating operations are functional: they write only the nodes an edit
+// changes, share every other chunk with the old tree, and return the new
+// tree's TreeInfo; the receiver is never modified. This is what makes
 // every historical version permanently addressable.
 #ifndef FORKBASE_POSTREE_TREE_H_
 #define FORKBASE_POSTREE_TREE_H_
@@ -16,6 +16,7 @@
 #include "chunk/chunk_store.h"
 #include "postree/builder.h"
 #include "postree/cursor.h"
+#include "postree/splice.h"
 
 namespace forkbase {
 
@@ -87,15 +88,21 @@ class PosTree {
   StatusOr<std::vector<std::pair<std::string, std::string>>> Entries() const;
 
   /// Applies sorted-agnostic keyed ops (they are sorted and deduped by key,
-  /// last-wins) producing a new tree. Unchanged regions share chunks.
+  /// last-wins) producing a new tree, bit-identical to a from-scratch build
+  /// of the result. Each op finds its place by key descent; only the nodes
+  /// the ops' bytes reach are rewritten (TreeSplicer), so the cost is
+  /// O(ops × height × node size), not O(N), and the rest is shared.
   StatusOr<TreeInfo> ApplyKeyedOps(std::vector<KeyedOp> ops) const;
 
   /// Replaces `remove` elements at `start` with `inserts` (list trees).
+  /// Found by count descent; same cost and identity as ApplyKeyedOps.
+  /// A start past the end appends; `remove` is clamped to the end.
   StatusOr<TreeInfo> SpliceElements(
       uint64_t start, uint64_t remove,
       const std::vector<std::string>& inserts) const;
 
   /// Replaces `remove` bytes at `offset` with `insert` (blob trees).
+  /// Found by count descent; same cost and identity as ApplyKeyedOps.
   StatusOr<TreeInfo> SpliceBytes(uint64_t offset, uint64_t remove,
                                  Slice insert) const;
 
@@ -119,6 +126,9 @@ class PosTree {
   };
   StatusOr<ValidateResult> ValidateNode(const Hash256& id,
                                         uint32_t depth) const;
+  /// Positional splice shared by SpliceElements and SpliceBytes.
+  StatusOr<TreeInfo> Splice(uint64_t start, uint64_t remove,
+                            std::vector<SpliceEntry> entries) const;
 
   const ChunkStore* store_;
   ChunkType leaf_type_;

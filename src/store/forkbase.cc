@@ -16,9 +16,10 @@ namespace forkbase {
 
 namespace {
 
-/// ResurrectionGuard: a publish that re-points a branch at pre-existing
-/// history (nothing was put, so nothing is pin-protected) races an
-/// in-place sweep's erase batches. Under the write lease — which excludes
+/// ResurrectionGuard: a publish that points a branch at pre-existing
+/// chunks (re-pointed history, or the subtrees an edited tree reuses from
+/// its base — nothing was put for them, so nothing is pin-protected) races
+/// an in-place sweep's erase batches. Under the write lease — which excludes
 /// the sweep's check-and-erase sections — walk the target's full closure
 /// and pin it: either every chunk is still present (pinned, the remaining
 /// batches spare them) or some were already erased (refuse the publish
@@ -155,6 +156,13 @@ StatusOr<Hash256> ForkBase::Commit(const std::string& key, const Value& value,
                                    const std::string& branch,
                                    const PutMeta& meta,
                                    std::optional<Hash256> expected_head) {
+  // An edited value reuses its base's untouched subtrees without putting
+  // them again, so its closure is not pinned by the put pin — and a base
+  // only deleted history reaches is exactly what a sweep erases. Callers
+  // hold the write lease, so no erase batch runs between this and publish.
+  if (gc_sweep_active() && value.is_container()) {
+    FB_RETURN_IF_ERROR(PinReachableForSweep(store_.get(), value.root()));
+  }
   CommitQueue::Request req;
   req.key = key;
   req.value = value;
@@ -196,10 +204,9 @@ StatusOr<Hash256> ForkBase::AdvanceHead(const std::string& key,
                                         const Hash256& expected,
                                         const Hash256& target) {
   auto lease = AcquireWriteLease();
-  // Unlike the commit path (whose targets were just put, hence pinned),
-  // this CAS can point at arbitrary pre-existing history — sync
-  // fast-forwards do exactly that with chunks the store may already hold
-  // as garbage.
+  // Like the commit path (see Commit), this CAS can point at pre-existing
+  // history nothing was put for — sync fast-forwards do exactly that with
+  // chunks the store may already hold as garbage.
   if (gc_sweep_active()) {
     FB_RETURN_IF_ERROR(PinReachableForSweep(store_.get(), target));
   }

@@ -405,8 +405,10 @@ class ForkBase {
   /// uncontended atomic except while a sweep's exclusive section runs.
   ///
   /// External code that writes chunks directly into store() and only later
-  /// publishes them through ForkBase (e.g. bundle import) either holds the
-  /// lease across both steps or holds a ChunkStore::PutPin for the span —
+  /// publishes them through ForkBase (e.g. bundle import), or edits a tree
+  /// it took from outside the branch heads (the edit reuses the tree's
+  /// untouched subtrees without putting them), either holds the lease
+  /// across both steps or holds a ChunkStore::PutPin for the span —
   /// the pin survives across threads and network frames where a lease
   /// cannot (see net/sync.cc and the upload pin in net/server.cc).
   std::shared_lock<std::shared_mutex> AcquireWriteLease() const {
@@ -428,12 +430,12 @@ class ForkBase {
   void RecordGcSweep(uint64_t swept_chunks, uint64_t swept_bytes);
 
   /// Scopes an in-place sweep (RAII, set by SweepInPlace). While a sweep
-  /// is active, publishes that can re-point a branch at PRE-EXISTING
-  /// history — BranchFromVersion, and AdvanceHead outside the commit path
-  /// — validate that the target's full closure is still present and pin it
-  /// against the remaining erase batches (see ResurrectionGuard in
-  /// forkbase.cc). Commits never pay this: their targets are chunks they
-  /// just put, which the sweep's pin already protects.
+  /// is active, every publish — commits, BranchFromVersion and AdvanceHead
+  /// — validates that its target's full closure is still present and pins
+  /// it against the remaining erase batches (see ResurrectionGuard in
+  /// forkbase.cc): an edited value shares the untouched subtrees of its
+  /// base without putting them again, so even a commit can reference
+  /// chunks the sweep saw as garbage.
   class SweepScope {
    public:
     explicit SweepScope(ForkBase* db) : db_(db) {

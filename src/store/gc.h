@@ -33,10 +33,11 @@
 //     whole import→publish span — the erase loop skips ids in ANY live
 //     pin, and a pin (unlike the lease) survives across threads and
 //     network frames (see the upload pin in net/server.cc). Publishes that
-//     re-point a branch at pre-existing history with no put at all
-//     (BranchFromVersion, sync fast-forwards) are validated and pinned at
-//     publish time while a sweep is active (PinReachableForSweep in
-//     forkbase.cc).
+//     point a branch at pre-existing chunks nothing was put for
+//     (BranchFromVersion, sync fast-forwards, and commits of edited trees,
+//     which reuse their base's untouched subtrees) are validated and
+//     pinned at publish time while a sweep is active (PinReachableForSweep
+//     in forkbase.cc).
 #ifndef FORKBASE_STORE_GC_H_
 #define FORKBASE_STORE_GC_H_
 

@@ -28,6 +28,19 @@ StatusOr<FList> FList::Splice(uint64_t start, uint64_t remove,
   return FList(PosTree(tree_.store(), ChunkType::kListLeaf, info.root));
 }
 
+StatusOr<FList> FList::Delete(uint64_t index) const {
+  FB_ASSIGN_OR_RETURN(uint64_t size, Size());
+  if (index >= size) return Status::NotFound("index out of range");
+  return Splice(index, 1, {});
+}
+
+StatusOr<FList> FList::Update(uint64_t index,
+                              const std::string& element) const {
+  FB_ASSIGN_OR_RETURN(uint64_t size, Size());
+  if (index >= size) return Status::NotFound("index out of range");
+  return Splice(index, 1, {element});
+}
+
 StatusOr<FList> FList::Append(const std::string& element) const {
   FB_ASSIGN_OR_RETURN(uint64_t size, Size());
   return Splice(size, 0, {element});

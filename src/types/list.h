@@ -35,10 +35,9 @@ class FList {
   StatusOr<FList> Insert(uint64_t index, const std::string& element) const {
     return Splice(index, 0, {element});
   }
-  StatusOr<FList> Delete(uint64_t index) const { return Splice(index, 1, {}); }
-  StatusOr<FList> Update(uint64_t index, const std::string& element) const {
-    return Splice(index, 1, {element});
-  }
+  /// NotFound("index out of range") past the end, as Get.
+  StatusOr<FList> Delete(uint64_t index) const;
+  StatusOr<FList> Update(uint64_t index, const std::string& element) const;
 
   StatusOr<std::optional<SeqDelta>> Diff(const FList& other,
                                          DiffMetrics* metrics = nullptr) const;

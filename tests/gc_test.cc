@@ -5,12 +5,14 @@
 
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <thread>
 #include <unordered_set>
 
 #include "chunk/file_chunk_store.h"
 #include "chunk/mem_chunk_store.h"
 #include "chunk/tiered_chunk_store.h"
+#include "postree/cursor.h"
 #include "store/gc.h"
 #include "util/datagen.h"
 #include "util/random.h"
@@ -597,6 +599,101 @@ TEST(GcTest, ResurrectionGuardRefusesPartiallySweptHistory) {
         << "publishing a head with missing chunks must be refused";
   }
   EXPECT_FALSE(db.Head("k", "dangling").ok());
+}
+
+std::vector<std::pair<std::string, std::string>> ManyKvs(uint64_t seed) {
+  Rng rng(seed);
+  std::map<std::string, std::string> sorted;
+  while (sorted.size() < 4000) sorted[rng.NextString(12)] = rng.NextString(20);
+  return {sorted.begin(), sorted.end()};
+}
+
+TEST(GcTest, UpdateOfDeletedHistoryDuringSweepIsPinnedOrRefused) {
+  // An incremental update reuses its base tree's untouched subtrees without
+  // putting them again. Built on a map only deleted history reaches, its
+  // publish is the one thing that can protect (or refuse) those subtrees.
+  auto store = std::make_shared<MemChunkStore>();
+  ForkBase db(store);
+  const auto kvs = ManyKvs(31);
+  auto v1 = db.PutMap("old", kvs);
+  ASSERT_TRUE(v1.ok());
+  ASSERT_TRUE(db.DeleteBranch("old", "master").ok());
+  auto old_value = db.GetVersion(*v1);
+  ASSERT_TRUE(old_value.ok());
+  const FMap base = FMap::Attach(store.get(), old_value->root());
+
+  {
+    // Intact history: the publish pins the reused closure and succeeds.
+    ForkBase::SweepScope scope(&db);
+    auto updated = base.Apply({{kvs[0].first, std::string("new")}});
+    ASSERT_TRUE(updated.ok());
+    auto uid = db.Put("fresh", Value::OfMap(updated->root()));
+    ASSERT_TRUE(uid.ok()) << uid.status().ToString();
+    EXPECT_TRUE(db.Verify(*uid).ok());
+  }
+  ASSERT_TRUE(db.DeleteBranch("fresh", "master").ok());
+
+  // An erase batch took a leaf the next update does not touch (so the
+  // update never reads it): the publish must be refused, not dangle.
+  auto far_leaf = TreeCursor::AtKey(store.get(), base.root(), kvs.back().first);
+  ASSERT_TRUE(far_leaf.ok());
+  const std::vector<Hash256> victim{far_leaf->leaf_hash()};
+  ASSERT_TRUE(store->Erase(victim).ok());
+  {
+    ForkBase::SweepScope scope(&db);
+    auto updated = base.Apply({{kvs[1].first, std::string("newer")}});
+    ASSERT_TRUE(updated.ok()) << "the update only reads its own path";
+    auto uid = db.Put("dangling", Value::OfMap(updated->root()));
+    EXPECT_EQ(uid.status().code(), StatusCode::kNotFound)
+        << "publishing a head with swept chunks must be refused";
+  }
+  EXPECT_FALSE(db.Head("dangling").ok());
+}
+
+TEST(GcTest, UpdatesOfDeletedHistoryRacingSweepsNeverDangle) {
+  auto store = std::make_shared<MemChunkStore>();
+  ForkBase db(store);
+  for (uint64_t round = 0; round < 4; ++round) {
+    const auto kvs = ManyKvs(40 + round);
+    auto v = db.PutMap("old", kvs);
+    ASSERT_TRUE(v.ok());
+    ASSERT_TRUE(db.DeleteBranch("old", "master").ok());
+    const FMap base =
+        FMap::Attach(store.get(), db.GetVersion(*v)->root());
+    std::atomic<bool> swept{false};
+    std::thread sweeper([&] {
+      SweepOptions options;
+      options.erase_batch = 8;  // many windows for the writer to land in
+      EXPECT_TRUE(SweepInPlace(&db, options).ok());
+      swept.store(true);
+    });
+    std::vector<Hash256> published;
+    for (int i = 0; !swept.load() || i < 4; ++i) {
+      // Build and publish under one write lease, as ForkBase's own writers
+      // do: no erase batch, and no end of the sweep, falls in between.
+      auto lease = db.AcquireWriteLease();
+      auto updated =
+          base.Apply({{kvs[(i * 997) % kvs.size()].first, std::to_string(i)}});
+      if (!updated.ok()) {
+        // The update's own path was swept before it read it.
+        EXPECT_EQ(updated.status().code(), StatusCode::kNotFound);
+        continue;
+      }
+      auto uid = db.PutLeased("k" + std::to_string(round),
+                              Value::OfMap(updated->root()));
+      if (uid.ok()) {
+        published.push_back(*uid);
+      } else {
+        EXPECT_EQ(uid.status().code(), StatusCode::kNotFound)
+            << uid.status().ToString();
+      }
+      if (i > 200) break;
+    }
+    sweeper.join();
+    for (const auto& uid : published) {
+      EXPECT_TRUE(db.Verify(uid).ok()) << "round " << round;
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 
 #include "chunk/mem_chunk_store.h"
@@ -509,6 +510,316 @@ TEST(PosTreeShapeTest, CountsAddUp) {
   ASSERT_TRUE(tree.ReachableChunks(&chunks).ok());
   EXPECT_EQ(chunks.size(), shape->total_nodes);
 }
+
+// ---------------------------------------------------- Incremental splices --
+//
+// Each edit goes through TreeSplicer; the oracle is a from-scratch build of
+// the resulting content, which must give the same root bit for bit.
+
+using Kvs = std::vector<std::pair<std::string, std::string>>;
+
+/// Applies `ops` to a tree built from `kvs` and checks the new root against
+/// a fresh build of the resulting record set.
+TreeInfo ExpectOpsMatchRebuild(const Kvs& kvs, const std::vector<KeyedOp>& ops,
+                               TreeConfig config = TreeConfig::ForEntries()) {
+  MemChunkStore store;
+  auto info = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs, config);
+  EXPECT_TRUE(info.ok());
+  PosTree tree(&store, ChunkType::kMapLeaf, info->root, config);
+  std::map<std::string, std::string> model(kvs.begin(), kvs.end());
+  for (const auto& op : ops) {
+    if (op.value) {
+      model[op.key] = *op.value;
+    } else {
+      model.erase(op.key);
+    }
+  }
+  auto applied = tree.ApplyKeyedOps(ops);
+  EXPECT_TRUE(applied.ok()) << applied.status().ToString();
+  MemChunkStore fresh;
+  auto scratch = PosTree::BuildKeyed(&fresh, ChunkType::kMapLeaf,
+                                     Kvs(model.begin(), model.end()), config);
+  EXPECT_TRUE(scratch.ok());
+  EXPECT_EQ(applied->root, scratch->root);
+  EXPECT_EQ(applied->height, scratch->height);
+  EXPECT_EQ(applied->count, model.size());
+  EXPECT_TRUE(PosTree(&store, ChunkType::kMapLeaf, applied->root, config)
+                  .Validate()
+                  .ok());
+  return *applied;
+}
+
+/// Ordinals of the entries that start a leaf.
+std::vector<size_t> LeafStarts(const ChunkStore* store, const Hash256& root) {
+  std::vector<size_t> starts;
+  auto cursor = TreeCursor::AtStart(store, root);
+  EXPECT_TRUE(cursor.ok());
+  for (size_t i = 0; !cursor->done(); ++i) {
+    if (cursor->at_leaf_start()) starts.push_back(i);
+    EXPECT_TRUE(cursor->Next().ok());
+  }
+  return starts;
+}
+
+TEST(PosTreeSpliceTest, EditsInTheFirstAndLastLeaf) {
+  auto kvs = MakeKvs(3000, 21);
+  ExpectOpsMatchRebuild(kvs, {{kvs.front().first, std::string("first")}});
+  ExpectOpsMatchRebuild(kvs, {{kvs.back().first, std::string("last")}});
+  ExpectOpsMatchRebuild(kvs, {{std::string("a-before-all"), std::string("v")}});
+  ExpectOpsMatchRebuild(kvs,
+                        {{std::string("zzz-after-all"), std::string("v")}});
+  ExpectOpsMatchRebuild(kvs, {{kvs.front().first, std::nullopt},
+                              {kvs.back().first, std::nullopt}});
+}
+
+TEST(PosTreeSpliceTest, EditsOnALeafBoundaryEntry) {
+  MemChunkStore store;
+  auto kvs = MakeKvs(3000, 22);
+  auto info = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
+  ASSERT_TRUE(info.ok());
+  const auto starts = LeafStarts(&store, info->root);
+  ASSERT_GE(starts.size(), 4u);
+  for (size_t leaf = 1; leaf < 4; ++leaf) {
+    // The entry that closes leaf `leaf - 1`, and the one opening `leaf`.
+    const auto& closing = kvs[starts[leaf] - 1].first;
+    const auto& opening = kvs[starts[leaf]].first;
+    ExpectOpsMatchRebuild(kvs, {{closing, std::string(300, 'x')}});
+    ExpectOpsMatchRebuild(kvs, {{closing, std::string("")}});
+    ExpectOpsMatchRebuild(kvs, {{opening, std::string(300, 'y')}});
+    ExpectOpsMatchRebuild(kvs, {{opening, std::nullopt}});
+    ExpectOpsMatchRebuild(kvs, {{closing + "!", std::string("between")}});
+  }
+}
+
+TEST(PosTreeSpliceTest, DeletingABoundaryEntryMergesTwoLeaves) {
+  MemChunkStore store;
+  auto kvs = MakeKvs(3000, 23);
+  auto info = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
+  ASSERT_TRUE(info.ok());
+  const auto starts = LeafStarts(&store, info->root);
+  ASSERT_GE(starts.size(), 3u);
+  // Without the entry whose bytes held the cut, leaf 0 runs on into leaf 1.
+  const TreeInfo merged =
+      ExpectOpsMatchRebuild(kvs, {{kvs[starts[1] - 1].first, std::nullopt}});
+  Kvs rest = kvs;
+  rest.erase(rest.begin() + static_cast<long>(starts[1]) - 1);
+  auto rebuilt = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, rest);
+  ASSERT_TRUE(rebuilt.ok());
+  ASSERT_EQ(merged.root, rebuilt->root);
+  EXPECT_LT(LeafStarts(&store, rebuilt->root).size(), starts.size());
+}
+
+TEST(PosTreeSpliceTest, DeletingEverythingGivesTheCanonicalEmptyLeaf) {
+  auto kvs = MakeKvs(3000, 24);
+  std::vector<KeyedOp> ops;
+  for (const auto& [k, v] : kvs) ops.push_back({k, std::nullopt});
+  const TreeInfo empty = ExpectOpsMatchRebuild(kvs, ops);
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_EQ(empty.height, 1u);
+
+  MemChunkStore store;
+  std::vector<std::string> elems(3000, "element");
+  auto list = PosTree::BuildList(&store, elems);
+  ASSERT_TRUE(list.ok());
+  auto cleared = PosTree(&store, ChunkType::kListLeaf, list->root)
+                     .SpliceElements(0, UINT64_MAX, {});
+  ASSERT_TRUE(cleared.ok());
+  EXPECT_EQ(cleared->root, PosTree::BuildList(&store, {})->root);
+
+  std::string data = Rng(24).NextBytes(100000);
+  auto blob = PosTree::BuildBlob(&store, data);
+  ASSERT_TRUE(blob.ok());
+  auto wiped = PosTree(&store, ChunkType::kBlobLeaf, blob->root,
+                       TreeConfig::ForBlob())
+                   .SpliceBytes(0, data.size(), Slice());
+  ASSERT_TRUE(wiped.ok());
+  EXPECT_EQ(wiped->root, PosTree::BuildBlob(&store, Slice())->root);
+}
+
+TEST(PosTreeSpliceTest, InsertsIntoAnEmptyTree) {
+  auto kvs = MakeKvs(5000, 25);
+  std::vector<KeyedOp> ops;
+  for (const auto& [k, v] : kvs) ops.push_back({k, v});
+  const TreeInfo grown = ExpectOpsMatchRebuild({}, ops);
+  EXPECT_GE(grown.height, 2u);
+
+  MemChunkStore store;
+  std::vector<std::string> elems;
+  for (const auto& [k, v] : kvs) elems.push_back(v);
+  auto empty_list = PosTree::BuildList(&store, {});
+  auto filled = PosTree(&store, ChunkType::kListLeaf, empty_list->root)
+                    .SpliceElements(0, 0, elems);
+  ASSERT_TRUE(filled.ok());
+  EXPECT_EQ(filled->root, PosTree::BuildList(&store, elems)->root);
+
+  std::string data = Rng(25).NextBytes(100000);
+  auto empty_blob = PosTree::BuildBlob(&store, Slice());
+  auto written = PosTree(&store, ChunkType::kBlobLeaf, empty_blob->root,
+                         TreeConfig::ForBlob())
+                     .SpliceBytes(0, 0, data);
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(written->root, PosTree::BuildBlob(&store, data)->root);
+}
+
+TEST(PosTreeSpliceTest, HeightGrowsAndCollapses) {
+  // Small nodes make a few thousand entries several levels tall, and lone
+  // index entries that close a node by themselves common. The window is
+  // wider than an index entry's hash-free tail (count, key), so a lone
+  // entry's cut still depends on its child hash and the levels terminate.
+  TreeConfig config;
+  config.leaf = SplitConfig{24, 6, 32, 256};
+  config.index = SplitConfig{24, 6, 32, 256};
+  auto kvs = MakeKvs(2000, 26);
+  const Kvs one(kvs.begin(), kvs.begin() + 1);
+  std::vector<KeyedOp> grow;
+  for (size_t i = 1; i < kvs.size(); ++i) {
+    grow.push_back({kvs[i].first, kvs[i].second});
+  }
+  const TreeInfo tall = ExpectOpsMatchRebuild(one, grow, config);
+  EXPECT_GE(tall.height, 4u);
+
+  std::vector<KeyedOp> shrink;
+  for (size_t i = 1; i < kvs.size(); ++i) {
+    shrink.push_back({kvs[i].first, std::nullopt});
+  }
+  const TreeInfo flat = ExpectOpsMatchRebuild(kvs, shrink, config);
+  EXPECT_EQ(flat.height, 1u);
+  // Every size in between: each collapse step must match the builder's.
+  for (size_t keep : {2, 3, 5, 9, 17, 40, 100}) {
+    std::vector<KeyedOp> trim;
+    for (size_t i = keep; i < kvs.size(); ++i) {
+      trim.push_back({kvs[i].first, std::nullopt});
+    }
+    ExpectOpsMatchRebuild(kvs, trim, config);
+  }
+}
+
+TEST(PosTreeSpliceTest, FarApartOpsInOneBatchRewriteOnlyTheirPaths) {
+  auto kvs = MakeKvs(20000, 27);
+  const std::vector<KeyedOp> ops{{kvs[10].first, std::string("a")},
+                                 {kvs[10000].first, std::string("b")},
+                                 {kvs[19990].first, std::nullopt}};
+  const TreeInfo info = ExpectOpsMatchRebuild(kvs, ops);
+  // Three separate windows: about a leaf and an index node per level each.
+  EXPECT_LE(info.nodes_written, 3 * (info.height + 2));
+}
+
+TEST(PosTreeSpliceTest, DuplicateKeysLastOpWins) {
+  auto kvs = MakeKvs(3000, 28);
+  const std::string& k = kvs[1500].first;
+  ExpectOpsMatchRebuild(kvs, {{k, std::string("a")},
+                              {k, std::nullopt},
+                              {k, std::string("c")}});
+  ExpectOpsMatchRebuild(kvs, {{k, std::string("a")}, {k, std::nullopt}});
+  ExpectOpsMatchRebuild(kvs, {{std::string("new"), std::nullopt},
+                              {std::string("new"), std::string("kept")}});
+}
+
+TEST(PosTreeSpliceTest, UnevenLeafDepthsAreCorruptionNotACrash) {
+  // A malformed tree (say, from a peer) with leaves at two depths:
+  // root = [index -> leaf A, leaf B]. Walking from A onward reaches B where
+  // an index node belongs; its entry bytes must not be read as child ids.
+  MemChunkStore store;
+  const Chunk leaf_a =
+      Chunk::Make(ChunkType::kMapLeaf, EncodeMapEntry("a", "1"));
+  const Chunk leaf_b =
+      Chunk::Make(ChunkType::kMapLeaf, EncodeMapEntry("b", "2"));
+  const Chunk index = Chunk::Make(
+      ChunkType::kMeta, EncodeIndexEntry({leaf_a.hash(), 1, "a"}));
+  const Chunk root = Chunk::Make(
+      ChunkType::kMeta, EncodeIndexEntry({index.hash(), 1, "a"}) +
+                            EncodeIndexEntry({leaf_b.hash(), 1, "b"}));
+  for (const Chunk& c : {leaf_a, leaf_b, index, root}) {
+    ASSERT_TRUE(store.Put(c).ok());
+  }
+  PosTree tree(&store, ChunkType::kMapLeaf, root.hash());
+  auto applied = tree.ApplyKeyedOps({{std::string("a"), std::string("x")}});
+  ASSERT_FALSE(applied.ok());
+  EXPECT_EQ(applied.status().code(), StatusCode::kCorruption);
+}
+
+TEST(PosTreeSpliceTest, MalformedNodeUnderACollapsingRootIsCorruption) {
+  // root = [leaf A, index -> leaf B]. Deleting B leaves the new root with
+  // the one old entry for A, and the collapse rule walks down to A, where
+  // an index node belongs.
+  MemChunkStore store;
+  const Chunk leaf_a =
+      Chunk::Make(ChunkType::kMapLeaf, EncodeMapEntry("a", "1"));
+  const Chunk leaf_b =
+      Chunk::Make(ChunkType::kMapLeaf, EncodeMapEntry("b", "2"));
+  const Chunk index = Chunk::Make(
+      ChunkType::kMeta, EncodeIndexEntry({leaf_b.hash(), 1, "b"}));
+  const Chunk root = Chunk::Make(
+      ChunkType::kMeta, EncodeIndexEntry({leaf_a.hash(), 1, "a"}) +
+                            EncodeIndexEntry({index.hash(), 1, "b"}));
+  for (const Chunk& c : {leaf_a, leaf_b, index, root}) {
+    ASSERT_TRUE(store.Put(c).ok());
+  }
+  PosTree tree(&store, ChunkType::kMapLeaf, root.hash());
+  auto applied = tree.ApplyKeyedOps({{std::string("b"), std::nullopt}});
+  ASSERT_FALSE(applied.ok());
+  EXPECT_EQ(applied.status().code(), StatusCode::kCorruption);
+}
+
+/// Counts the chunks that pass through to a MemChunkStore.
+class CountingChunkStore : public ChunkStore {
+ public:
+  StatusOr<Chunk> Get(const Hash256& id) const override {
+    ++gets;
+    return base_.Get(id);
+  }
+  std::vector<StatusOr<Chunk>> GetMany(
+      std::span<const Hash256> ids) const override {
+    gets += ids.size();
+    return base_.GetMany(ids);
+  }
+  bool Contains(const Hash256& id) const override {
+    return base_.Contains(id);
+  }
+  ChunkStoreStats stats() const override { return base_.stats(); }
+  void ForEach(const std::function<void(const Hash256&, const Chunk&)>& fn)
+      const override {
+    base_.ForEach(fn);
+  }
+
+  mutable std::atomic<uint64_t> gets{0};
+  std::atomic<uint64_t> puts{0};
+
+ protected:
+  Status PutImpl(const Chunk& chunk) override {
+    ++puts;
+    return base_.Put(chunk);
+  }
+  Status PutManyImpl(std::span<const Chunk> chunks) override {
+    puts += chunks.size();
+    return base_.PutMany(chunks);
+  }
+
+ private:
+  MemChunkStore base_;
+};
+
+class PosTreeSpliceCost : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PosTreeSpliceCost, OneKeyUpdateTouchesOnePath) {
+  // The machine-independent guard against a return to O(N) rebuilds.
+  CountingChunkStore store;
+  auto kvs = MakeKvs(GetParam(), 29);
+  auto info = PosTree::BuildKeyed(&store, ChunkType::kMapLeaf, kvs);
+  ASSERT_TRUE(info.ok());
+  PosTree tree(&store, ChunkType::kMapLeaf, info->root);
+  for (size_t i : {size_t{0}, kvs.size() / 3, kvs.size() - 1}) {
+    store.puts = 0;
+    store.gets = 0;
+    auto updated = tree.ApplyKeyedOps({{kvs[i].first, std::string("changed")}});
+    ASSERT_TRUE(updated.ok());
+    EXPECT_LE(store.puts.load(), info->height + 3) << "entry " << i;
+    EXPECT_LE(store.gets.load(), 2 * info->height + 4) << "entry " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, PosTreeSpliceCost,
+                         ::testing::Values(1000, 100000));
 
 }  // namespace
 }  // namespace forkbase

@@ -277,5 +277,193 @@ TEST(BlobSpliceFuzz, RandomSplicesMatchReferenceString) {
   ASSERT_TRUE(tree.Validate().ok());
 }
 
+// ------------------------------------- Incremental splice vs. full rebuild
+//
+// Differential oracle for TreeSplicer: every randomized batch applied to a
+// tree must give the root a from-scratch build of the resulting content
+// gives. The tiny configs make nodes a few entries wide, so trees are tall,
+// single-entry index nodes (and TreeBuilder's collapse rule) are common and
+// batches often grow or shrink the height.
+
+TreeConfig SpliceConfig(int which) {
+  TreeConfig c;
+  switch (which) {
+    case 0:  // stock entry config
+      break;
+    case 1:  // a few entries per node: tall trees, lone index entries
+      c.leaf = SplitConfig{16, 5, 16, 160};
+      c.index = SplitConfig{16, 5, 16, 160};
+      break;
+    default:  // small nodes, more entries each
+      c.leaf = SplitConfig{16, 7, 64, 512};
+      c.index = SplitConfig{16, 6, 64, 512};
+      break;
+  }
+  return c;
+}
+
+class SpliceDifferential
+    : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
+
+TEST_P(SpliceDifferential, KeyedBatchesMatchFromScratchBuild) {
+  const auto [which, seed] = GetParam();
+  const TreeConfig config = SpliceConfig(which);
+  Rng rng(seed);
+  MemChunkStore store;
+  std::map<std::string, std::string> reference;
+  const size_t initial = rng.Uniform(which == 0 ? 3000 : 400);
+  while (reference.size() < initial) {
+    reference[rng.NextString(1 + rng.Uniform(12))] =
+        rng.NextString(rng.Uniform(13));
+  }
+  auto built = PosTree::BuildKeyed(
+      &store, ChunkType::kMapLeaf,
+      {reference.begin(), reference.end()}, config);
+  ASSERT_TRUE(built.ok());
+  PosTree tree(&store, ChunkType::kMapLeaf, built->root, config);
+  auto existing_key = [&]() {
+    auto it = reference.begin();
+    std::advance(it, rng.Uniform(reference.size()));
+    return it->first;
+  };
+  for (int round = 0; round < 40; ++round) {
+    std::vector<KeyedOp> ops;
+    auto model = reference;
+    const uint64_t kind = rng.Uniform(10);
+    if (kind == 0) {
+      for (const auto& [k, v] : reference) ops.push_back({k, std::nullopt});
+    } else if (kind == 1) {
+      for (int i = 0; i < 150; ++i) {
+        ops.push_back({rng.NextString(1 + rng.Uniform(12)),
+                       rng.NextString(rng.Uniform(13))});
+      }
+    } else if (kind == 2 && !reference.empty()) {
+      // Far apart: first, last and a middle key in one batch.
+      ops.push_back({reference.begin()->first, std::string("first")});
+      ops.push_back({reference.rbegin()->first, std::nullopt});
+      ops.push_back({existing_key(), std::string("middle")});
+      ops.push_back({std::string("~after-last"), std::string("z")});
+    } else {
+      const size_t n = 1 + rng.Uniform(8);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t op = rng.Uniform(5);
+        if (op == 0 && !reference.empty()) {
+          ops.push_back({existing_key(), rng.NextString(rng.Uniform(13))});
+        } else if (op == 1 && !reference.empty()) {
+          ops.push_back({existing_key(), std::nullopt});
+        } else if (op == 2) {
+          ops.push_back({rng.NextString(1 + rng.Uniform(12)), std::nullopt});
+        } else if (op == 3 && !ops.empty()) {
+          ops.push_back({ops.back().key, rng.NextString(4)});  // duplicate
+        } else {
+          ops.push_back({rng.NextString(1 + rng.Uniform(12)),
+                         rng.NextString(rng.Uniform(13))});
+        }
+      }
+    }
+    for (const auto& op : ops) {
+      if (op.value) {
+        model[op.key] = *op.value;
+      } else {
+        model.erase(op.key);
+      }
+    }
+    auto applied = tree.ApplyKeyedOps(ops);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    MemChunkStore fresh;
+    auto scratch = PosTree::BuildKeyed(&fresh, ChunkType::kMapLeaf,
+                                       {model.begin(), model.end()}, config);
+    ASSERT_TRUE(scratch.ok());
+    ASSERT_EQ(applied->root, scratch->root)
+        << "round " << round << " kind " << kind << " size " << model.size();
+    EXPECT_EQ(applied->height, scratch->height) << "round " << round;
+    EXPECT_EQ(applied->count, model.size());
+    tree = PosTree(&store, ChunkType::kMapLeaf, applied->root, config);
+    ASSERT_TRUE(tree.Validate().ok()) << "round " << round;
+    reference = std::move(model);
+  }
+}
+
+TEST_P(SpliceDifferential, ListSplicesMatchFromScratchBuild) {
+  const auto [which, seed] = GetParam();
+  const TreeConfig config = SpliceConfig(which);
+  Rng rng(seed * 7 + 1);
+  MemChunkStore store;
+  std::vector<std::string> reference;
+  for (size_t i = rng.Uniform(which == 0 ? 3000 : 400); i > 0; --i) {
+    reference.push_back(rng.NextString(rng.Uniform(20)));
+  }
+  auto built = PosTree::BuildList(&store, reference, config);
+  ASSERT_TRUE(built.ok());
+  PosTree tree(&store, ChunkType::kListLeaf, built->root, config);
+  for (int round = 0; round < 40; ++round) {
+    const uint64_t start = rng.Uniform(reference.size() + 3);
+    const uint64_t kind = rng.Uniform(8);
+    const uint64_t remove = kind == 0   ? UINT64_MAX
+                            : kind == 1 ? rng.Uniform(reference.size() + 1)
+                                        : rng.Uniform(6);
+    std::vector<std::string> inserts;
+    for (size_t i = rng.Uniform(kind == 2 ? 200 : 6); i > 0; --i) {
+      inserts.push_back(rng.NextString(rng.Uniform(20)));
+    }
+    const size_t at = std::min<size_t>(start, reference.size());
+    const size_t gone = std::min<uint64_t>(remove, reference.size() - at);
+    reference.erase(reference.begin() + at, reference.begin() + at + gone);
+    reference.insert(reference.begin() + at, inserts.begin(), inserts.end());
+
+    auto spliced = tree.SpliceElements(start, remove, inserts);
+    ASSERT_TRUE(spliced.ok()) << spliced.status().ToString();
+    MemChunkStore fresh;
+    auto scratch = PosTree::BuildList(&fresh, reference, config);
+    ASSERT_TRUE(scratch.ok());
+    ASSERT_EQ(spliced->root, scratch->root)
+        << "round " << round << " start " << start << " remove " << remove;
+    EXPECT_EQ(spliced->height, scratch->height);
+    tree = PosTree(&store, ChunkType::kListLeaf, spliced->root, config);
+  }
+  ASSERT_TRUE(tree.Validate().ok());
+}
+
+TEST_P(SpliceDifferential, BlobSplicesMatchFromScratchBuild) {
+  const auto [which, seed] = GetParam();
+  TreeConfig config = TreeConfig::ForBlob();
+  if (which != 0) config.leaf = SplitConfig{16, 5, 32, 256};
+  if (which == 1) config.index = SpliceConfig(1).index;
+  Rng rng(seed * 13 + 5);
+  MemChunkStore store;
+  std::string reference = rng.NextBytes(rng.Uniform(60000));
+  auto built = PosTree::BuildBlob(&store, reference, config);
+  ASSERT_TRUE(built.ok());
+  PosTree tree(&store, ChunkType::kBlobLeaf, built->root, config);
+  for (int round = 0; round < 30; ++round) {
+    const uint64_t offset = rng.Uniform(reference.size() + 3);
+    const uint64_t kind = rng.Uniform(8);
+    const uint64_t remove = kind == 0   ? UINT64_MAX
+                            : kind == 1 ? rng.Uniform(reference.size() + 1)
+                                        : rng.Uniform(300);
+    const std::string insert =
+        rng.NextBytes(rng.Uniform(kind == 2 ? 20000 : 300));
+    const size_t at = std::min<size_t>(offset, reference.size());
+    const size_t gone = std::min<uint64_t>(remove, reference.size() - at);
+    reference = reference.substr(0, at) + insert + reference.substr(at + gone);
+
+    auto spliced = tree.SpliceBytes(offset, remove, insert);
+    ASSERT_TRUE(spliced.ok()) << spliced.status().ToString();
+    MemChunkStore fresh;
+    auto scratch = PosTree::BuildBlob(&fresh, reference, config);
+    ASSERT_TRUE(scratch.ok());
+    ASSERT_EQ(spliced->root, scratch->root)
+        << "round " << round << " offset " << offset << " remove " << remove;
+    EXPECT_EQ(spliced->count, reference.size());
+    tree = PosTree(&store, ChunkType::kBlobLeaf, spliced->root, config);
+  }
+  ASSERT_TRUE(tree.Validate().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, SpliceDifferential,
+                         ::testing::Combine(::testing::Values(0, 1, 2),
+                                            ::testing::Values(1u, 2u, 3u,
+                                                              4u)));
+
 }  // namespace
 }  // namespace forkbase

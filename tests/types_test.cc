@@ -142,7 +142,58 @@ TEST(FBlobTest, DiffIdenticalAndEdited) {
   EXPECT_LE((*delta1)->left_start, 40000u);
 }
 
+TEST(FBlobTest, SpliceRemovingPastTheEndClampsWithoutWrapping) {
+  // offset + remove used to wrap, keeping the tail: 102 bytes, not 11.
+  MemChunkStore store;
+  std::string data = Rng(5).NextBytes(100);
+  auto blob = FBlob::Create(&store, data);
+  ASSERT_TRUE(blob.ok());
+  auto spliced = blob->Splice(10, UINT64_MAX, "X");
+  ASSERT_TRUE(spliced.ok());
+  EXPECT_EQ(*spliced->ReadAll(), data.substr(0, 10) + "X");
+  auto tail = blob->Splice(UINT64_MAX, UINT64_MAX, "Y");
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(*tail->ReadAll(), data + "Y");
+}
+
 // ----------------------------------------------------------------- FList --
+
+TEST(FListTest, SpliceRemovingPastTheEndClampsWithoutWrapping) {
+  // start + remove used to wrap, keeping the tail: 101 elements, not 6.
+  MemChunkStore store;
+  std::vector<std::string> elems;
+  for (int i = 0; i < 100; ++i) elems.push_back(std::to_string(i));
+  auto list = FList::Create(&store, elems);
+  ASSERT_TRUE(list.ok());
+  auto spliced = list->Splice(5, UINT64_MAX, {"X"});
+  ASSERT_TRUE(spliced.ok());
+  std::vector<std::string> expected(elems.begin(), elems.begin() + 5);
+  expected.push_back("X");
+  EXPECT_EQ(*spliced->Elements(), expected);
+}
+
+TEST(FListTest, UpdateAndDeletePastTheEndAreNotFound) {
+  MemChunkStore store;
+  std::vector<std::string> elems(100, "e");
+  auto list = FList::Create(&store, elems);
+  ASSERT_TRUE(list.ok());
+  auto updated = list->Update(500, "X");
+  EXPECT_TRUE(updated.status().IsNotFound()) << "must not append";
+  EXPECT_EQ(updated.status().message(), "index out of range");
+  auto deleted = list->Delete(500);
+  EXPECT_TRUE(deleted.status().IsNotFound()) << "must not be a silent no-op";
+  EXPECT_TRUE(list->Update(100, "X").status().IsNotFound());
+  EXPECT_TRUE(list->Delete(100).status().IsNotFound());
+  // The last index still works.
+  auto last = list->Update(99, "X");
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last->Get(99), "X");
+  EXPECT_EQ(*last->Size(), 100u);
+  auto shorter = list->Delete(99);
+  ASSERT_TRUE(shorter.ok());
+  EXPECT_EQ(*shorter->Size(), 99u);
+}
+
 
 TEST(FListTest, OperationsMatchVector) {
   MemChunkStore store;
