@@ -766,10 +766,11 @@ BENCHMARK(BM_Verify)->Arg(1000)->Arg(10000);
 // ---- sync export: full bundle vs. negotiated delta ----------------------
 //
 // The sync subsystem's win: after branch-head negotiation, a push exports
-// only the chunks past the receiver's frontier (ExportDeltaBundle) instead
-// of the head's whole closure (ExportBundle). The corpus is a map with a
-// 64-commit history; the delta covers the last commit only, the regime of
-// a steady-state replica that syncs every few commits.
+// only the chunks past the receiver's frontier (ExportDeltaBundle with the
+// receiver's heads as `have`) instead of the head's whole closure (no
+// `have` heads). Both go through the one bundle writer. The corpus is a map
+// with a 64-commit history; the delta covers the last commit only, the
+// regime of a steady-state replica that syncs every few commits.
 
 struct SyncCorpus {
   std::shared_ptr<MemChunkStore> store;
@@ -802,10 +803,11 @@ void BM_SyncPushFull(benchmark::State& state) {
   const SyncCorpus& corpus = GetSyncCorpus();
   uint64_t bytes = 0;
   for (auto _ : state) {
-    auto stats = ExportBundle(*corpus.store, corpus.head, [&](Slice b) {
-      bytes += b.size();
-      return Status::OK();
-    });
+    auto stats = ExportDeltaBundle(*corpus.store, {corpus.head}, {},
+                                   [&](Slice b) {
+                                     bytes += b.size();
+                                     return Status::OK();
+                                   });
     benchmark::DoNotOptimize(stats.ok());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

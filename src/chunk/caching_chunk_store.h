@@ -56,6 +56,9 @@ class CachingChunkStore : public ChunkStore {
   bool GetDeltaBase(const Hash256& id, Hash256* base) const override {
     return base_->GetDeltaBase(id, base);
   }
+  Encoding StoredEncoding(const Hash256& id) const override {
+    return base_->StoredEncoding(id);
+  }
   bool GetPhysicalRecord(const Hash256& id,
                          PhysicalRecord* rec) const override {
     return base_->GetPhysicalRecord(id, rec);

@@ -259,6 +259,21 @@ class ChunkStore {
     kDelta = 2,       ///< copy/insert delta against another resident chunk
   };
 
+  /// Smallest well-formed stored body of a kDelta record, in a segment or a
+  /// bundle: the 32-byte base id plus the shortest valid delta (varint
+  /// target length, one op, fixed32 checksum).
+  static constexpr size_t kMinDeltaBody = 32 + 5;
+
+  /// How `id` is stored, answered from the backend's index without reading
+  /// the record. kRaw for raw and absent ids, and for backends that hold
+  /// only logical bytes. Callers that act on a reduced form (the bundle
+  /// exporter, the deep-verify census) probe this before paying for
+  /// GetPhysicalRecord. Decorators forward to the backend that holds the id.
+  virtual Encoding StoredEncoding(const Hash256& id) const {
+    (void)id;
+    return Encoding::kRaw;
+  }
+
   /// One chunk's stored form: the physical payload plus what is needed to
   /// rebuild the logical bytes from it. `delta_base` is meaningful only for
   /// Encoding::kDelta. Sync's bundle exporter ships these verbatim so a

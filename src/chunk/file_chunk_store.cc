@@ -19,20 +19,15 @@
 namespace forkbase {
 
 namespace {
-constexpr uint32_t kRecordMagic = 0x46424331;     // "FBC1" raw chunk bytes
-constexpr uint32_t kRecordMagic2 = 0x46424332;    // "FBC2" encoded payload
+using Encoding = ChunkStore::Encoding;
+
+constexpr uint32_t kRecordMagic = 0x46424331;     // "FBC1" raw (replay only)
+constexpr uint32_t kRecordMagic2 = 0x46424332;    // "FBC2" every chunk record
 constexpr uint32_t kTombstoneMagic = 0x46425431;  // "FBT1"
-constexpr size_t kHeaderBytes = 4 + 32 + 4;       // magic + hash + len
+// FBC1 and tombstone header: magic + hash + len.
+constexpr size_t kHeaderBytes = 4 + 32 + 4;
 // FBC2 header: magic + hash + payload_len + enc + logical_len.
 constexpr size_t kHeader2Bytes = 4 + 32 + 4 + 1 + 4;
-
-constexpr uint8_t kEncRaw = 0;
-constexpr uint8_t kEncLz = 1;
-constexpr uint8_t kEncDelta = 2;
-
-// A delta payload is [32-byte base id][delta]; the smallest structurally
-// valid delta (varint target_len + one op + fixed32 checksum) is 5 bytes.
-constexpr uint32_t kMinDeltaPayload = 32 + 5;
 // Chunks below this size never delta: the 32-byte base reference plus
 // varint overhead eats any plausible saving.
 constexpr size_t kMinDeltaChunk = 128;
@@ -56,22 +51,6 @@ void AppendHeader(std::string* buf, uint32_t magic, const Hash256& id,
   std::memcpy(header + 4, id.bytes.data(), 32);
   std::memcpy(header + 36, &len, 4);
   buf->append(reinterpret_cast<const char*>(header), kHeaderBytes);
-}
-
-void AppendRecord(std::string* buf, const Hash256& id, Slice bytes) {
-  AppendHeader(buf, kRecordMagic, id, static_cast<uint32_t>(bytes.size()));
-  buf->append(bytes.data(), bytes.size());
-}
-
-void AppendHeader2(std::string* buf, const Hash256& id, uint32_t payload_len,
-                   uint8_t enc, uint32_t logical) {
-  uint8_t header[kHeader2Bytes];
-  std::memcpy(header, &kRecordMagic2, 4);
-  std::memcpy(header + 4, id.bytes.data(), 32);
-  std::memcpy(header + 36, &payload_len, 4);
-  header[40] = enc;
-  std::memcpy(header + 41, &logical, 4);
-  buf->append(reinterpret_cast<const char*>(header), kHeader2Bytes);
 }
 
 // fsync by path, for callers that must not sit on append_mu_ while the
@@ -201,13 +180,14 @@ Status FileChunkStore::Recover() {
       std::memcpy(id.bytes.data(), header + 4, 32);
       uint32_t len = 0;
       std::memcpy(&len, header + 36, 4);
-      uint8_t enc = kEncRaw;
+      Encoding enc = Encoding::kRaw;
       uint32_t logical = len;
       if (magic == kRecordMagic2) {
-        enc = header[40];
+        // Unknown encoding: torn/corrupt tail.
+        if (header[40] > static_cast<uint8_t>(Encoding::kDelta)) break;
+        enc = static_cast<Encoding>(header[40]);
         std::memcpy(&logical, header + 41, 4);
-        if (enc > kEncDelta) break;  // unknown encoding: torn/corrupt tail
-        if (enc == kEncDelta && len < kMinDeltaPayload) break;
+        if (enc == Encoding::kDelta && len < kMinDeltaBody) break;
       }
       buf.resize(len);
       if (std::fread(buf.data(), 1, len, f) < len) break;  // torn record
@@ -251,7 +231,7 @@ Status FileChunkStore::Recover() {
           physical_bytes_.fetch_add(len, std::memory_order_relaxed);
           it->second = loc;
         }
-        if (enc == kEncDelta) {
+        if (enc == Encoding::kDelta) {
           Hash256 base;
           std::memcpy(base.bytes.data(), buf.data(), 32);
           delta_bases[id] = base;
@@ -390,9 +370,9 @@ StatusOr<std::string> FileChunkStore::DecodePayload(const Hash256& id,
                                                     std::string payload,
                                                     int depth) const {
   switch (loc.enc) {
-    case kEncRaw:
+    case Encoding::kRaw:
       return payload;
-    case kEncLz: {
+    case Encoding::kCompressed: {
       std::string logical;
       if (!LzDecompressBlock(Slice(payload), &logical) ||
           logical.size() != loc.logical) {
@@ -401,8 +381,8 @@ StatusOr<std::string> FileChunkStore::DecodePayload(const Hash256& id,
       }
       return logical;
     }
-    case kEncDelta: {
-      if (payload.size() < kMinDeltaPayload) {
+    case Encoding::kDelta: {
+      if (payload.size() < kMinDeltaBody) {
         return Status::Corruption("truncated delta record for " +
                                   id.ToBase32());
       }
@@ -422,10 +402,8 @@ StatusOr<std::string> FileChunkStore::DecodePayload(const Hash256& id,
       }
       return logical;
     }
-    default:
-      return Status::Corruption("unknown record encoding for " +
-                                id.ToBase32());
   }
+  return Status::Corruption("unknown record encoding for " + id.ToBase32());
 }
 
 StatusOr<std::string> FileChunkStore::MaterializeLogical(const Hash256& id,
@@ -588,14 +566,51 @@ void FileChunkStore::WindowPush(const Hash256& id, const Chunk& chunk,
   while (window_.size() > options_.delta_window) window_.pop_front();
 }
 
+uint64_t FileChunkStore::AppendRecord(std::string* buffer, const Hash256& id,
+                                      Encoding enc, Slice payload,
+                                      uint32_t logical, Location* loc) {
+  const uint32_t length = static_cast<uint32_t>(payload.size());
+  uint8_t header[kHeader2Bytes];
+  std::memcpy(header, &kRecordMagic2, 4);
+  std::memcpy(header + 4, id.bytes.data(), 32);
+  std::memcpy(header + 36, &length, 4);
+  header[40] = static_cast<uint8_t>(enc);
+  std::memcpy(header + 41, &logical, 4);
+  buffer->append(reinterpret_cast<const char*>(header), kHeader2Bytes);
+  buffer->append(payload.data(), payload.size());
+  loc->length = length;
+  loc->logical = logical;
+  loc->enc = enc;
+  loc->header = static_cast<uint8_t>(kHeader2Bytes);
+  return kHeader2Bytes + length;
+}
+
+std::string FileChunkStore::CompressIfSmaller(Slice raw) const {
+  std::string lz;
+  if (options_.compression == Compression::kLz) {
+    LzCompressBlock(raw, &lz);
+    if (lz.size() > raw.size() - raw.size() / 16) lz.clear();
+  }
+  return lz;
+}
+
+uint64_t FileChunkStore::AppendSelfContained(std::string* buffer,
+                                             const Hash256& id, Slice logical,
+                                             Location* loc) const {
+  const uint32_t length = static_cast<uint32_t>(logical.size());
+  const std::string lz = CompressIfSmaller(logical);
+  return lz.empty()
+             ? AppendRecord(buffer, id, Encoding::kRaw, logical, length, loc)
+             : AppendRecord(buffer, id, Encoding::kCompressed, Slice(lz),
+                            length, loc);
+}
+
 uint64_t FileChunkStore::SerializeRecord(const Chunk& chunk,
                                          std::string* buffer,
                                          PendingEntry* entry) {
   const Hash256& id = chunk.hash();
   const Slice raw = chunk.bytes();
-  const uint32_t logical = static_cast<uint32_t>(raw.size());
   entry->id = id;
-  entry->loc.logical = logical;
   entry->depth = 0;
 
   // Delta attempt: best (smallest) delta against a window entry whose chain
@@ -628,40 +643,20 @@ uint64_t FileChunkStore::SerializeRecord(const Chunk& chunk,
 
   // Compression attempt: keep only a >= 1/16 saving, so incompressible
   // payloads stay raw and readable without any codec.
-  std::string lz;
-  if (options_.compression == Compression::kLz) {
-    LzCompressBlock(raw, &lz);
-    if (lz.size() > raw.size() - raw.size() / 16) lz.clear();
-  }
-
+  const std::string lz = CompressIfSmaller(raw);
+  const uint32_t logical = static_cast<uint32_t>(raw.size());
   if (!delta_payload.empty() &&
       (lz.empty() || delta_payload.size() < lz.size())) {
-    AppendHeader2(buffer, id, static_cast<uint32_t>(delta_payload.size()),
-                  kEncDelta, logical);
-    buffer->append(delta_payload);
-    entry->loc.length = static_cast<uint32_t>(delta_payload.size());
-    entry->loc.enc = kEncDelta;
-    entry->loc.header = static_cast<uint8_t>(kHeader2Bytes);
     entry->base = delta_base;
     entry->depth = delta_depth;
-    return kHeader2Bytes + delta_payload.size();
+    return AppendRecord(buffer, id, Encoding::kDelta, Slice(delta_payload),
+                        logical, &entry->loc);
   }
   if (!lz.empty()) {
-    AppendHeader2(buffer, id, static_cast<uint32_t>(lz.size()), kEncLz,
-                  logical);
-    buffer->append(lz);
-    entry->loc.length = static_cast<uint32_t>(lz.size());
-    entry->loc.enc = kEncLz;
-    entry->loc.header = static_cast<uint8_t>(kHeader2Bytes);
-    return kHeader2Bytes + lz.size();
+    return AppendRecord(buffer, id, Encoding::kCompressed, Slice(lz), logical,
+                        &entry->loc);
   }
-  // Raw records keep the legacy FBC1 layout (5 bytes smaller, and a store
-  // with the default options stays byte-identical to the pre-FBC2 format).
-  AppendRecord(buffer, id, raw);
-  entry->loc.length = logical;
-  entry->loc.enc = kEncRaw;
-  entry->loc.header = static_cast<uint8_t>(kHeaderBytes);
-  return kHeaderBytes + logical;
+  return AppendRecord(buffer, id, Encoding::kRaw, raw, logical, &entry->loc);
 }
 
 Status FileChunkStore::PutImpl(const Chunk& chunk) {
@@ -809,11 +804,11 @@ Status FileChunkStore::PutManyImpl(std::span<const Chunk> chunks) {
       {
         std::lock_guard<std::mutex> delta_lock(delta_mu_);
         for (const PendingEntry& entry : pending) {
-          if (entry.loc.enc == kEncDelta) {
+          if (entry.loc.enc == Encoding::kDelta) {
             delta_info_[entry.id] = DeltaInfo{entry.base, entry.depth};
             delta_children_.emplace(entry.base, entry.id);
             ++deltas;
-          } else if (entry.loc.enc == kEncLz) {
+          } else if (entry.loc.enc == Encoding::kCompressed) {
             ++compressed;
           }
         }
@@ -876,6 +871,11 @@ bool FileChunkStore::GetDeltaBase(const Hash256& id, Hash256* base) const {
   return true;
 }
 
+ChunkStore::Encoding FileChunkStore::StoredEncoding(const Hash256& id) const {
+  Location loc;
+  return Lookup(id, &loc) ? loc.enc : Encoding::kRaw;
+}
+
 bool FileChunkStore::GetPhysicalRecord(const Hash256& id,
                                        PhysicalRecord* rec) const {
   Location loc;
@@ -883,24 +883,16 @@ bool FileChunkStore::GetPhysicalRecord(const Hash256& id,
   auto payload = ReadPayloadWithRetry(id, &loc);
   if (!payload.ok()) return false;
   rec->logical_length = loc.logical;
-  switch (loc.enc) {
-    case kEncDelta:
-      if (payload->size() < kMinDeltaPayload) return false;
-      rec->encoding = Encoding::kDelta;
-      std::memcpy(rec->delta_base.bytes.data(), payload->data(), 32);
-      rec->payload.assign(payload->data() + 32, payload->size() - 32);
-      return true;
-    case kEncLz:
-      rec->encoding = Encoding::kCompressed;
-      rec->delta_base = Hash256{};
-      rec->payload = std::move(*payload);
-      return true;
-    default:
-      rec->encoding = Encoding::kRaw;
-      rec->delta_base = Hash256{};
-      rec->payload = std::move(*payload);
-      return true;
+  rec->encoding = loc.enc;
+  rec->delta_base = Hash256{};
+  if (loc.enc != Encoding::kDelta) {
+    rec->payload = std::move(*payload);
+    return true;
   }
+  if (payload->size() < kMinDeltaBody) return false;
+  std::memcpy(rec->delta_base.bytes.data(), payload->data(), 32);
+  rec->payload.assign(payload->data() + 32, payload->size() - 32);
+  return true;
 }
 
 // ---- erase & segment rewrite ---------------------------------------------
@@ -964,13 +956,13 @@ Status FileChunkStore::FlattenDependentsOf(std::span<const Hash256> ids) {
   for (const Hash256& dep : deps) {
     Location loc;
     if (!Lookup(dep, &loc)) continue;
-    if (loc.enc != kEncDelta) continue;
+    if (loc.enc != Encoding::kDelta) continue;
     auto payload = ReadPayloadWithRetry(dep, &loc);
     if (!payload.ok()) {
       if (payload.status().IsNotFound()) continue;  // erased concurrently
       return payload.status();
     }
-    if (loc.enc != kEncDelta) continue;  // retry landed on a flattened copy
+    if (loc.enc != Encoding::kDelta) continue;  // retry: a flattened copy
     auto logical = DecodePayload(dep, loc, std::move(*payload), 0);
     // Failing to flatten a live dependent would strand its chain once the
     // base is gone — refuse the erase instead.
@@ -1059,32 +1051,13 @@ Status FileChunkStore::FlattenDependentsOf(std::span<const Hash256> ids) {
           FB_RETURN_IF_ERROR(OpenSegmentForAppend(append_segment_ + 1));
           offset = append_offset_;
         }
-        const std::string& logical = flats[i].logical;
-        const Hash256& id = flats[i].id;
         Location loc;
         loc.segment = append_segment_;
-        loc.logical = static_cast<uint32_t>(logical.size());
-        std::string lz;
-        if (options_.compression == Compression::kLz) {
-          LzCompressBlock(Slice(logical), &lz);
-          if (lz.size() > logical.size() - logical.size() / 16) lz.clear();
-        }
-        if (!lz.empty()) {
-          AppendHeader2(&buffer, id, static_cast<uint32_t>(lz.size()), kEncLz,
-                        loc.logical);
-          buffer.append(lz);
-          loc.length = static_cast<uint32_t>(lz.size());
-          loc.enc = kEncLz;
-          loc.header = static_cast<uint8_t>(kHeader2Bytes);
-        } else {
-          AppendRecord(&buffer, id, Slice(logical));
-          loc.length = loc.logical;
-          loc.enc = kEncRaw;
-          loc.header = static_cast<uint8_t>(kHeaderBytes);
-        }
+        const uint64_t appended = AppendSelfContained(
+            &buffer, flats[i].id, Slice(flats[i].logical), &loc);
         loc.offset = offset + loc.header;
         outs.push_back(Out{i, loc});
-        offset += loc.header + loc.length;
+        offset += appended;
       }
       return flush();
     }();
@@ -1287,14 +1260,12 @@ void FileChunkStore::CompactSegment(uint32_t segment) {
       // chains die — and raw records pick up compression when the store
       // has it on), append it to the active segment in one flushed run,
       // then repoint the index entries that still reference their old
-      // location.
+      // location. Every copy is written as FBC2, so a rewrite also moves
+      // FBC1 records to the current format.
       const size_t kBatch = 128;
       struct Move {
         size_t entry_idx;
-        uint8_t enc;
-        uint8_t header;
-        uint32_t length;
-        uint32_t logical;
+        Location fresh;  ///< segment/offset set once the run is appended
         bool flattened;
       };
       for (size_t start = 0; start < entries.size() && !aborted;
@@ -1313,9 +1284,8 @@ void FileChunkStore::CompactSegment(uint32_t segment) {
             aborted = true;
             break;
           }
-          Move mv{start + i, loc.enc, loc.header, loc.length, loc.logical,
-                  false};
-          if (loc.enc == kEncDelta) {
+          Move mv{start + i, Location{}, false};
+          if (loc.enc == Encoding::kDelta) {
             // Flatten: materialize and re-encode self-contained. If the
             // chain cannot be resolved, distinguish "the record moved or
             // was erased under us" (skip it — its copy would lose the
@@ -1332,46 +1302,14 @@ void FileChunkStore::CompactSegment(uint32_t segment) {
               break;
             }
             mv.flattened = true;
-            payload = std::move(*logical);
-            std::string lz;
-            if (options_.compression == Compression::kLz) {
-              LzCompressBlock(Slice(payload), &lz);
-              if (lz.size() > payload.size() - payload.size() / 16) {
-                lz.clear();
-              }
-            }
-            if (!lz.empty()) {
-              mv.enc = kEncLz;
-              mv.header = static_cast<uint8_t>(kHeader2Bytes);
-              mv.length = static_cast<uint32_t>(lz.size());
-              AppendHeader2(&buffer, id, mv.length, kEncLz, mv.logical);
-              buffer.append(lz);
-            } else {
-              mv.enc = kEncRaw;
-              mv.header = static_cast<uint8_t>(kHeaderBytes);
-              mv.length = static_cast<uint32_t>(payload.size());
-              AppendRecord(&buffer, id, Slice(payload));
-            }
-          } else if (loc.enc == kEncRaw &&
-                     options_.compression == Compression::kLz) {
-            // The rewrite is a free shot at compressing legacy records.
-            std::string lz;
-            LzCompressBlock(Slice(payload), &lz);
-            if (lz.size() <= payload.size() - payload.size() / 16) {
-              mv.enc = kEncLz;
-              mv.header = static_cast<uint8_t>(kHeader2Bytes);
-              mv.length = static_cast<uint32_t>(lz.size());
-              AppendHeader2(&buffer, id, mv.length, kEncLz, mv.logical);
-              buffer.append(lz);
-            } else {
-              AppendRecord(&buffer, id, Slice(payload));
-            }
-          } else if (loc.enc == kEncRaw) {
-            AppendRecord(&buffer, id, Slice(payload));
+            AppendSelfContained(&buffer, id, Slice(*logical), &mv.fresh);
+          } else if (loc.enc == Encoding::kRaw) {
+            // The rewrite is a free shot at compressing raw records.
+            AppendSelfContained(&buffer, id, Slice(payload), &mv.fresh);
           } else {
             // Compressed records move verbatim — no point re-coding.
-            AppendHeader2(&buffer, id, mv.length, mv.enc, mv.logical);
-            buffer.append(payload);
+            AppendRecord(&buffer, id, loc.enc, Slice(payload), loc.logical,
+                         &mv.fresh);
           }
           moves.push_back(mv);
         }
@@ -1415,14 +1353,10 @@ void FileChunkStore::CompactSegment(uint32_t segment) {
         uint64_t flattened = 0;
         for (const Move& mv : moves) {
           const auto& [id, old_loc] = entries[mv.entry_idx];
-          Location fresh;
+          Location fresh = mv.fresh;
           fresh.segment = append_segment_;
-          fresh.offset = offset + mv.header;
-          fresh.length = mv.length;
-          fresh.logical = mv.logical;
-          fresh.enc = mv.enc;
-          fresh.header = mv.header;
-          offset += static_cast<uint64_t>(mv.header) + mv.length;
+          fresh.offset = offset + fresh.header;
+          offset += static_cast<uint64_t>(fresh.header) + fresh.length;
           bool repointed = false;
           {
             Shard& shard = ShardFor(id);
@@ -1439,11 +1373,11 @@ void FileChunkStore::CompactSegment(uint32_t segment) {
             }
           }
           if (!repointed) continue;
-          batch_live += static_cast<uint64_t>(mv.header) + mv.length;
-          batch_live_logical += mv.logical;
+          batch_live += static_cast<uint64_t>(fresh.header) + fresh.length;
+          batch_live_logical += fresh.logical;
           old_live += static_cast<uint64_t>(old_loc.header) + old_loc.length;
           old_live_logical += old_loc.logical;
-          physical_bytes_.fetch_add(mv.length, std::memory_order_relaxed);
+          physical_bytes_.fetch_add(fresh.length, std::memory_order_relaxed);
           physical_bytes_.fetch_sub(old_loc.length,
                                     std::memory_order_relaxed);
           if (mv.flattened) {

@@ -1,20 +1,20 @@
 // Persistent chunk store backed by append-only segment files.
 //
 // On-disk layout (per directory):
-//   segment-<n>.fbc : sequence of records, two generations mixed freely:
-//       FBC1 (raw):  [magic u32][hash 32B][len u32][chunk bytes (tag+payload)]
-//       FBC2 (coded):[magic u32][hash 32B][payload_len u32][enc u8]
+//   segment-<n>.fbc : sequence of records:
+//       FBC2 chunk:  [magic u32][hash 32B][payload_len u32][enc u8]
 //                    [logical_len u32][payload bytes]
 //       tombstone:   [tombstone-magic u32][hash 32B][len=0]
-// An FBC2 payload is the chunk's bytes transformed per `enc`: 0 = verbatim,
-// 1 = LZ block (util/compress.h), 2 = a copy/insert delta
-// (util/delta_codec.h) whose payload leads with the 32-byte id of the base
-// chunk the delta applies against. The content address always hashes the
-// LOGICAL bytes — encoding is a storage detail, invisible to Get.
-// Writers only emit FBC2 when an encoding knob is on (Options::compression
-// or delta_chain_depth); a store with the defaults writes byte-identical
-// FBC1 segments, and replay sniffs the magic per record, so pre-FBC2
-// directories open unchanged and mixed segments are normal.
+// An FBC2 payload is the chunk's bytes transformed per `enc`
+// (ChunkStore::Encoding): 0 = verbatim, 1 = LZ block (util/compress.h),
+// 2 = a copy/insert delta (util/delta_codec.h) whose payload leads with the
+// 32-byte id of the base chunk the delta applies against. The content
+// address always hashes the LOGICAL bytes — encoding is a storage detail,
+// invisible to Get. Every chunk record is written as FBC2, raw ones
+// included. Replay also reads the older raw-only FBC1 record
+// ([magic u32][hash 32B][len u32][chunk bytes], 5 bytes shorter): replay
+// sniffs the magic per record, so directories written by older builds open
+// unchanged and their segments may mix both generations.
 //
 // Delta chains: PutMany keeps a small recency window of just-written chunks
 // and stores a new chunk as a delta against the window entry that encodes
@@ -88,7 +88,7 @@ class FileChunkStore : public ChunkStore {
   /// Block codec applied to record payloads (delta encoding is controlled
   /// separately by delta_chain_depth).
   enum class Compression : uint8_t {
-    kNone = 0,  ///< payloads verbatim (FBC1 records, the legacy format)
+    kNone = 0,  ///< payloads verbatim (enc 0)
     kLz = 1,    ///< util/compress.h LZ block when it actually shrinks
   };
 
@@ -130,10 +130,10 @@ class FileChunkStore : public ChunkStore {
     /// at the store API; this knob reaches the maintenance path, which a
     /// wrapping store cannot. Must stay zero in production configurations.
     std::chrono::microseconds rewrite_sync_delay_for_testing{0};
-    /// Payload compression for newly written records. Off by default: the
-    /// legacy FBC1 format stays byte-for-byte what it was, and the CPU per
-    /// Put stays zero. kLz writes a record compressed only when the block
-    /// actually shrinks by >= 1/16 — incompressible payloads stay raw.
+    /// Payload compression for newly written records. Off by default, so
+    /// the CPU per Put stays zero. kLz writes a record compressed only when
+    /// the block actually shrinks by >= 1/16 — incompressible payloads stay
+    /// raw.
     Compression compression = Compression::kNone;
     /// Maximum delta-chain length for newly written records. 0 (default)
     /// disables delta encoding entirely. n > 0 lets PutMany store a chunk
@@ -175,6 +175,8 @@ class FileChunkStore : public ChunkStore {
   /// once a segment's live ratio crosses the threshold.
   Status Erase(std::span<const Hash256> ids) override;
   bool GetDeltaBase(const Hash256& id, Hash256* base) const override;
+  /// Read from the index entry: no segment I/O.
+  Encoding StoredEncoding(const Hash256& id) const override;
   bool GetPhysicalRecord(const Hash256& id,
                          PhysicalRecord* rec) const override;
   ChunkStoreStats stats() const override;
@@ -239,8 +241,10 @@ class FileChunkStore : public ChunkStore {
     uint64_t offset = 0;   ///< offset of the payload bytes (past the header)
     uint32_t length = 0;   ///< physical payload length on disk
     uint32_t logical = 0;  ///< chunk byte length Get returns
-    uint8_t enc = 0;       ///< Encoding (kRaw for FBC1 records)
-    uint8_t header = 0;    ///< header bytes preceding the payload (40 or 45)
+    Encoding enc = Encoding::kRaw;
+    /// Header bytes preceding the payload: 45 for FBC2, 40 for a replayed
+    /// FBC1 record.
+    uint8_t header = 0;
   };
 
   /// Per-segment space accounting. `total_bytes` tracks the file size (every
@@ -282,8 +286,8 @@ class FileChunkStore : public ChunkStore {
   struct PendingEntry {
     Hash256 id;
     Location loc;
-    Hash256 base;        ///< meaningful when loc.enc == kDelta
-    uint32_t depth = 0;  ///< chain depth when loc.enc == kDelta
+    Hash256 base;        ///< meaningful when loc.enc is kDelta
+    uint32_t depth = 0;  ///< chain depth when loc.enc is kDelta
   };
 
   FileChunkStore(std::string dir, Options options);
@@ -323,10 +327,23 @@ class FileChunkStore : public ChunkStore {
   bool CacheGet(const Hash256& id, std::string* bytes) const;
   void CachePut(const Hash256& id, const std::string& bytes) const;
 
+  /// Appends one FBC2 record to `buffer` and fills `loc`'s encoding,
+  /// lengths and header size (the caller sets segment and offset). Returns
+  /// the record's total byte size.
+  static uint64_t AppendRecord(std::string* buffer, const Hash256& id,
+                               Encoding enc, Slice payload, uint32_t logical,
+                               Location* loc);
+  /// The LZ block of `raw` when compression is on and the block shrinks it
+  /// by >= 1/16; empty otherwise (the record stays raw).
+  std::string CompressIfSmaller(Slice raw) const;
+  /// Appends `logical` as a self-contained record (compressed or raw, never
+  /// a delta) — what flattening and segment rewrites write.
+  uint64_t AppendSelfContained(std::string* buffer, const Hash256& id,
+                               Slice logical, Location* loc) const;
   /// Chooses the stored form of `chunk` under append_mu_: consults the
   /// recency window for a delta base, falls back to LZ, then raw. Appends
-  /// header+payload to `buffer` and fills `entry` (loc.segment/offset set
-  /// by the caller). Returns the record's total appended bytes.
+  /// the record to `buffer` and fills `entry` (loc.segment/offset set by
+  /// the caller). Returns the record's total appended bytes.
   uint64_t SerializeRecord(const Chunk& chunk, std::string* buffer,
                            PendingEntry* entry);
   /// Pushes a freshly serialized chunk into the recency window (caller

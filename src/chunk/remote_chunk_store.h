@@ -77,6 +77,9 @@ class RemoteChunkStore : public ChunkStore {
   bool GetDeltaBase(const Hash256& id, Hash256* base) const override {
     return backend_->GetDeltaBase(id, base);
   }
+  Encoding StoredEncoding(const Hash256& id) const override {
+    return backend_->StoredEncoding(id);
+  }
   bool GetPhysicalRecord(const Hash256& id,
                          PhysicalRecord* rec) const override {
     return backend_->GetPhysicalRecord(id, rec);

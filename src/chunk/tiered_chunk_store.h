@@ -151,6 +151,10 @@ class TieredChunkStore : public ChunkStore {
     if (hot_->Contains(id)) return hot_->GetDeltaBase(id, base);
     return cold_->GetDeltaBase(id, base);
   }
+  Encoding StoredEncoding(const Hash256& id) const override {
+    return hot_->Contains(id) ? hot_->StoredEncoding(id)
+                              : cold_->StoredEncoding(id);
+  }
   bool GetPhysicalRecord(const Hash256& id,
                          PhysicalRecord* rec) const override {
     if (hot_->Contains(id) && hot_->GetPhysicalRecord(id, rec)) return true;

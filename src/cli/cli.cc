@@ -481,13 +481,10 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
     uint64_t compressed_records = 0;
     store->ForEachId([&](const Hash256& id, uint64_t) {
       ids.push_back(id);
-      ChunkStore::PhysicalRecord rec;
-      if (store->GetPhysicalRecord(id, &rec)) {
-        if (rec.encoding == ChunkStore::Encoding::kDelta) ++delta_records;
-        if (rec.encoding == ChunkStore::Encoding::kCompressed) {
-          ++compressed_records;
-        }
-      }
+      // An index probe: the census reads no record.
+      const ChunkStore::Encoding enc = store->StoredEncoding(id);
+      if (enc == ChunkStore::Encoding::kDelta) ++delta_records;
+      if (enc == ChunkStore::Encoding::kCompressed) ++compressed_records;
     });
     uint64_t bad = 0;
     FB_RETURN_IF_ERROR(ForEachChunkBatch(

@@ -156,13 +156,10 @@ Status SyncPushInto(ForkBase* db, ForkBaseClient* client,
       }
       return Status::OK();
     };
-    // Packed (v3) export: chain- and LZ-resident chunks cross the wire at
-    // their physical footprint instead of being materialized first. On a
-    // plain store this degenerates to raw bodies — the v2 pack plus one
-    // tag byte per record.
-    FB_ASSIGN_OR_RETURN(
-        auto bundle_stats,
-        ExportPackedBundleOfIds(*db->store(), want, to_send, sink));
+    // Chain- and LZ-resident chunks cross the wire at their physical
+    // footprint instead of being materialized first.
+    FB_ASSIGN_OR_RETURN(auto bundle_stats,
+                        ExportBundleOfIds(*db->store(), want, to_send, sink));
     if (!buffer.empty()) {
       FB_RETURN_IF_ERROR(client->SendBundlePart(Slice(buffer)));
     }

@@ -1,7 +1,6 @@
 #include "store/bundle.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "util/codec.h"
@@ -12,41 +11,16 @@ namespace forkbase {
 
 namespace {
 
-constexpr uint32_t kBundleMagic = 0x46424e44;    // "FBND" — v1, frozen
-constexpr uint32_t kBundleMagicV2 = 0x46424432;  // "FBD2" — multi-head delta
-constexpr uint32_t kBundleMagicV3 = 0x46424433;  // "FBD3" — packed records
-// A v3 delta body is a 32-byte base id plus at least one delta byte.
-constexpr size_t kMinPackedDeltaBody = 33;
+using Encoding = ChunkStore::Encoding;
+
+constexpr uint32_t kBundleMagic = 0x46424433;  // "FBD3" — the layout written
+// Layouts older builds wrote (raw records only); accepted on import.
+constexpr uint32_t kLegacyMagicV1 = 0x46424e44;  // "FBND" — single head
+constexpr uint32_t kLegacyMagicV2 = 0x46424432;  // "FBD2" — multi-head
 // Ceiling on the in-bundle base chain the exporter will preserve. Longer
 // (or cyclic, which a healthy store cannot produce) chains are materialized
 // instead of shipped — the importer never needs more lookback than this.
 constexpr int kMaxBundleChainHops = 512;
-
-/// Streams the length-prefixed records of `ids` (already sorted) through
-/// `sink`, verifying each chunk re-hashes to its id. Reads are batched (and
-/// pipelined on async stores) but emitted in id order: ForEachChunkBatch
-/// invokes the callback in global index order.
-Status EmitChunkRecords(const ChunkStore& store,
-                        const std::vector<Hash256>& ids,
-                        const BundleSink& sink, BundleStats* stats) {
-  std::string scratch;
-  return ForEachChunkBatch(
-      store, ids, kChunkSweepBatch,
-      [&](size_t index, StatusOr<Chunk>& chunk_or) -> Status {
-        if (!chunk_or.ok()) return chunk_or.status();
-        if (chunk_or->hash() != ids[index]) {
-          return Status::Corruption("chunk " + ids[index].ToBase32() +
-                                    " is tampered; refusing to export");
-        }
-        scratch.clear();
-        PutLengthPrefixed(&scratch, chunk_or->bytes());
-        FB_RETURN_IF_ERROR(sink(Slice(scratch)));
-        ++stats->chunks;
-        stats->bytes += scratch.size();
-        return Status::OK();
-      },
-      BatchHashing::kPrecompute);
-}
 
 Status SinkString(const BundleSink& sink, const std::string& bytes,
                   BundleStats* stats) {
@@ -55,24 +29,21 @@ Status SinkString(const BundleSink& sink, const std::string& bytes,
   return Status::OK();
 }
 
+/// One record of the export plan. `enc` is the form the record may ship
+/// in (kRaw unless the store holds it reduced and the receiver can rebuild
+/// it from the bundle); `base` is the in-bundle delta base when `enc` is
+/// kDelta.
+struct PlannedRecord {
+  int depth = 0;  ///< delta hops that stay inside the shipped set
+  Hash256 id;
+  Encoding enc = Encoding::kRaw;
+  Hash256 base{};
+  bool operator<(const PlannedRecord& o) const {
+    return depth != o.depth ? depth < o.depth : id < o.id;
+  }
+};
+
 }  // namespace
-
-StatusOr<BundleStats> ExportBundle(const ChunkStore& store, const Hash256& uid,
-                                   const BundleSink& sink) {
-  FB_ASSIGN_OR_RETURN(auto live, MarkLive(store, {uid}));
-  // Deterministic bundle bytes: chunks sorted by id.
-  std::vector<Hash256> ids(live.begin(), live.end());
-  std::sort(ids.begin(), ids.end());
-
-  BundleStats stats;
-  std::string header;
-  PutFixed32(&header, kBundleMagic);
-  header.append(reinterpret_cast<const char*>(uid.bytes.data()), 32);
-  PutVarint64(&header, ids.size());
-  FB_RETURN_IF_ERROR(SinkString(sink, header, &stats));
-  FB_RETURN_IF_ERROR(EmitChunkRecords(store, ids, sink, &stats));
-  return stats;
-}
 
 StatusOr<std::string> ExportBundle(const ChunkStore& store,
                                    const Hash256& uid) {
@@ -81,7 +52,7 @@ StatusOr<std::string> ExportBundle(const ChunkStore& store,
     out.append(bytes.data(), bytes.size());
     return Status::OK();
   };
-  FB_RETURN_IF_ERROR(ExportBundle(store, uid, sink).status());
+  FB_RETURN_IF_ERROR(ExportDeltaBundle(store, {uid}, {}, sink).status());
   return out;
 }
 
@@ -99,7 +70,6 @@ StatusOr<BundleStats> ExportDeltaBundle(const ChunkStore& store,
   FB_ASSIGN_OR_RETURN(auto excluded, MarkLive(store, have_present));
   FB_ASSIGN_OR_RETURN(auto live, MarkLive(store, want, &excluded));
   std::vector<Hash256> ids(live.begin(), live.end());
-  std::sort(ids.begin(), ids.end());
   return ExportBundleOfIds(store, want, ids, sink);
 }
 
@@ -113,56 +83,47 @@ StatusOr<BundleStats> ExportBundleOfIds(const ChunkStore& store,
   std::vector<Hash256> sorted = ids;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-
-  BundleStats stats;
-  std::string header;
-  PutFixed32(&header, kBundleMagicV2);
-  PutVarint64(&header, heads.size());
-  for (const auto& head : heads) {
-    header.append(reinterpret_cast<const char*>(head.bytes.data()), 32);
-  }
-  PutVarint64(&header, sorted.size());
-  FB_RETURN_IF_ERROR(SinkString(sink, header, &stats));
-  FB_RETURN_IF_ERROR(EmitChunkRecords(store, sorted, sink, &stats));
-  return stats;
-}
-
-StatusOr<BundleStats> ExportPackedBundleOfIds(
-    const ChunkStore& store, const std::vector<Hash256>& heads,
-    const std::vector<Hash256>& ids, const BundleSink& sink) {
-  if (heads.empty()) {
-    return Status::InvalidArgument("bundle export needs at least one head");
-  }
-  std::vector<Hash256> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  const std::unordered_set<Hash256, Hash256Hasher> in_set(sorted.begin(),
-                                                          sorted.end());
-
-  // In-bundle chain depth of an id: how many GetDeltaBase hops stay inside
-  // the shipped set. Records sort by (depth, id), which is exactly the
-  // base-before-dependent order the importer relies on. A hop count past
-  // kMaxBundleChainHops marks the id for materialization (-1) — a healthy
-  // store never produces such a chain, so this is a corruption firewall,
-  // not a tuning knob.
-  auto chain_depth = [&](const Hash256& id) -> int {
-    int depth = 0;
-    Hash256 cur = id;
-    Hash256 base;
-    while (store.GetDeltaBase(cur, &base) && in_set.count(base)) {
-      if (++depth > kMaxBundleChainHops) return -1;
-      cur = base;
-    }
-    return depth;
+  auto in_set = [&sorted](const Hash256& id) {
+    return std::binary_search(sorted.begin(), sorted.end(), id);
   };
-  std::vector<std::pair<int, Hash256>> order;
-  order.reserve(sorted.size());
-  for (const auto& id : sorted) order.emplace_back(chain_depth(id), id);
-  std::sort(order.begin(), order.end());
+
+  // Plan from the store's index alone (StoredEncoding and GetDeltaBase do
+  // no I/O). A delta ships as a delta only when its base ships too, and
+  // then sorts after it: records order by (in-bundle chain depth, id),
+  // exactly the base-before-dependent order the importer relies on. A
+  // chain past kMaxBundleChainHops ships materialized — a healthy store
+  // never produces one, so this is a corruption firewall, not a tuning
+  // knob.
+  std::vector<PlannedRecord> plan(sorted.size());
+  bool any_delta = false;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    PlannedRecord& rec = plan[i];
+    rec.id = sorted[i];
+    rec.enc = store.StoredEncoding(rec.id);
+    if (rec.enc != Encoding::kDelta) continue;
+    if (!store.GetDeltaBase(rec.id, &rec.base) || !in_set(rec.base)) {
+      rec.enc = Encoding::kRaw;
+      continue;
+    }
+    any_delta = true;
+    rec.depth = 1;
+    Hash256 next;
+    for (Hash256 cur = rec.base;
+         store.GetDeltaBase(cur, &next) && in_set(next); cur = next) {
+      if (++rec.depth > kMaxBundleChainHops) {
+        rec.enc = Encoding::kRaw;
+        rec.depth = 0;
+        break;
+      }
+    }
+  }
+  if (any_delta) std::sort(plan.begin(), plan.end());
+  std::vector<Hash256> order(plan.size());
+  for (size_t i = 0; i < plan.size(); ++i) order[i] = plan[i].id;
 
   BundleStats stats;
   std::string header;
-  PutFixed32(&header, kBundleMagicV3);
+  PutFixed32(&header, kBundleMagic);
   PutVarint64(&header, heads.size());
   for (const auto& head : heads) {
     header.append(reinterpret_cast<const char*>(head.bytes.data()), 32);
@@ -170,60 +131,48 @@ StatusOr<BundleStats> ExportPackedBundleOfIds(
   PutVarint64(&header, order.size());
   FB_RETURN_IF_ERROR(SinkString(sink, header, &stats));
 
-  std::string body;
+  // Every record is read through the store's batched (cached, pipelined)
+  // path and re-hashed before anything ships; only the ids planned as
+  // reduced pay one more read for their stored form, which goes out
+  // verbatim. A stored form that changed since planning (a rewrite
+  // flattened it) ships as the raw bytes already in hand.
   std::string record;
-  for (const auto& [depth, id] : order) {
-    body.clear();
-    uint8_t enc = 0;
-    ChunkStore::PhysicalRecord rec;
-    bool packed = depth >= 0 && store.GetPhysicalRecord(id, &rec);
-    if (packed) {
-      switch (rec.encoding) {
-        case ChunkStore::Encoding::kDelta:
-          if (in_set.count(rec.delta_base)) {
-            enc = 2;
-            body.append(reinterpret_cast<const char*>(rec.delta_base.bytes.data()),
-                        32);
-            body.append(rec.payload);
-          } else {
-            // The receiver cannot be assumed to hold the base; rebuild and
-            // re-encode below.
-            packed = false;
-          }
-          break;
-        case ChunkStore::Encoding::kCompressed:
-          enc = 1;
-          body = std::move(rec.payload);
-          break;
-        case ChunkStore::Encoding::kRaw:
-          enc = 0;
-          body = std::move(rec.payload);
-          break;
-      }
+  auto emit = [&](size_t index, StatusOr<Chunk>& chunk_or) -> Status {
+    if (!chunk_or.ok()) return chunk_or.status();
+    const PlannedRecord& planned = plan[index];
+    if (chunk_or->hash() != planned.id) {
+      return Status::Corruption("chunk " + planned.id.ToBase32() +
+                                " is tampered; refusing to export");
     }
-    if (!packed) {
-      // Materialize fallback: stores without a reduced physical form (and
-      // delta records whose base stayed home) ship logical bytes verbatim.
-      // Deliberately no opportunistic wire compression here — the packed
-      // format forwards what the store already paid to encode; it does not
-      // introduce a second compression policy of its own.
-      FB_ASSIGN_OR_RETURN(Chunk chunk, store.Get(id));
-      if (chunk.hash() != id) {
-        return Status::Corruption("chunk " + id.ToBase32() +
-                                  " is tampered; refusing to export");
-      }
-      enc = 0;
-      body.assign(chunk.bytes().data(), chunk.size());
+    Encoding enc = Encoding::kRaw;
+    Slice body = chunk_or->bytes();
+    ChunkStore::PhysicalRecord stored;
+    if (planned.enc != Encoding::kRaw &&
+        store.GetPhysicalRecord(planned.id, &stored) &&
+        stored.encoding == planned.enc &&
+        (planned.enc != Encoding::kDelta ||
+         stored.delta_base == planned.base)) {
+      enc = planned.enc;
+      body = Slice(stored.payload);
     }
-    if (enc == 2) ++stats.delta_chunks;
-    if (enc == 1) ++stats.compressed_chunks;
+    const bool delta = enc == Encoding::kDelta;
     record.clear();
-    PutVarint64(&record, body.size());
+    PutVarint64(&record, body.size() + (delta ? 32 : 0));
     record.push_back(static_cast<char>(enc));
-    record.append(body);
+    if (delta) {
+      record.append(reinterpret_cast<const char*>(planned.base.bytes.data()),
+                    32);
+      ++stats.delta_chunks;
+    } else if (enc == Encoding::kCompressed) {
+      ++stats.compressed_chunks;
+    }
+    record.append(body.data(), body.size());
     FB_RETURN_IF_ERROR(SinkString(sink, record, &stats));
     ++stats.chunks;
-  }
+    return Status::OK();
+  };
+  FB_RETURN_IF_ERROR(ForEachChunkBatch(store, order, kChunkSweepBatch, emit,
+                                       BatchHashing::kPrecompute));
   return stats;
 }
 
@@ -264,13 +213,13 @@ Status BundleImporter::Parse() {
       Decoder dec(rest);
       uint32_t magic = 0;
       dec.GetFixed32(&magic);
-      if (magic != kBundleMagic && magic != kBundleMagicV2 &&
-          magic != kBundleMagicV3) {
+      if (magic != kBundleMagic && magic != kLegacyMagicV1 &&
+          magic != kLegacyMagicV2) {
         return Fail("not a ForkBase bundle");
       }
       pos += 4;
-      packed_ = magic == kBundleMagicV3;
-      if (magic == kBundleMagic) {
+      packed_ = magic == kBundleMagic;
+      if (magic == kLegacyMagicV1) {
         heads_expected_ = 1;
         state_ = State::kHeadList;
       } else {
@@ -325,8 +274,8 @@ Status BundleImporter::Parse() {
       if (len > kMaxChunkRecordBytes) {
         return Fail("bundle: absurd chunk record length");
       }
-      // A packed (v3) record carries a 1-byte encoding tag between the
-      // length and the body.
+      // An FBD3 record carries a 1-byte encoding tag between the length and
+      // the body; legacy records are raw chunk bytes.
       const size_t body_extra = packed_ ? 1 : 0;
       if (dec.remaining() < len + body_extra) break;
       const size_t prefix = dec.position() + body_extra;
@@ -335,16 +284,16 @@ Status BundleImporter::Parse() {
         const uint8_t enc =
             static_cast<uint8_t>(rest.data()[dec.position()]);
         const Slice body(rest.data() + prefix, len);
-        if (enc == 0) {
+        if (enc == static_cast<uint8_t>(Encoding::kRaw)) {
           chunk_bytes.assign(body.data(), body.size());
-        } else if (enc == 1) {
+        } else if (enc == static_cast<uint8_t>(Encoding::kCompressed)) {
           if (!LzDecompressBlock(body, &chunk_bytes)) {
             return Fail("bundle: malformed compressed record");
           }
-        } else if (enc == 2) {
+        } else if (enc == static_cast<uint8_t>(Encoding::kDelta)) {
           // The exporter orders bases before dependents, so the base is
           // already admitted to dst — resolve it there, not from staging.
-          if (body.size() < kMinPackedDeltaBody) {
+          if (body.size() < ChunkStore::kMinDeltaBody) {
             return Fail("bundle: short delta record");
           }
           Hash256 base;

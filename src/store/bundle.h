@@ -8,35 +8,31 @@
 // declared id, and the requested uids must be present, before anything is
 // admitted to the destination store.
 //
-// Three wire layouts, distinguished by magic:
-//   v1 "FBND": [magic][32B head][varint n][length-prefixed chunk bytes × n]
-//              — single head, full closure; byte layout frozen (tooling and
-//              tests poke fixed offsets).
-//   v2 "FBD2": [magic][varint n_heads][32B × n_heads][varint n_chunks]
-//              [length-prefixed chunk bytes × n_chunks]
-//              — multi-head deltas, the sync protocol's bundle. Chunk
-//              records may be any subset: the import closure check runs
-//              against bundle ∪ destination, which is what makes
-//              incremental push ship only missing chunks.
-//   v3 "FBD3": header identical to v2, but each record is
-//              [varint body_len][u8 enc][body] where enc selects the body's
-//              form: 0 = raw chunk bytes, 1 = an LZ block of the chunk
-//              bytes (util/compress.h), 2 = [32B base id][delta bytes]
-//              (util/delta_codec.h) against a chunk that appears EARLIER in
-//              the same bundle. The exporter lifts these straight out of a
-//              delta-encoding store's physical records (no materialize +
-//              recompress round trip on the hot push path) and orders
-//              records base-before-dependent, so the importer can resolve
-//              every delta against chunks it has already admitted. A delta
-//              whose base is outside the shipped set is materialized and
-//              shipped raw instead — v3 bundles are always self-contained
-//              in their physical dependencies even when the logical closure
-//              is a subset.
-// v1/v2 sort chunk records by id, so equal inputs give byte-equal bundles.
-// v3 sorts by (delta chain depth within the bundle, id): byte-equal for
-// equal store states, but the same logical chunks can pack differently on
-// stores whose physical representation differs — ids, not bundle bytes, are
-// the canonical identity.
+// One wire layout is written, "FBD3":
+//   [magic][varint n_heads][32B × n_heads][varint n_chunks]
+//   [record × n_chunks], record = [varint body_len][u8 enc][body]
+// `enc` is a ChunkStore::Encoding selecting the body's form: 0 = raw chunk
+// bytes, 1 = an LZ block of the chunk bytes (util/compress.h), 2 = [32B base
+// id][delta bytes] (util/delta_codec.h) against a chunk that appears EARLIER
+// in the same bundle. The exporter lifts reduced forms straight out of an
+// encoding store's records (no materialize + recompress round trip on the
+// push path) and orders records base-before-dependent, so the importer can
+// resolve every delta against chunks it has already admitted. A delta
+// whose base is outside the shipped set ships raw instead — bundles are
+// always self-contained in their physical dependencies even when the
+// logical closure is a subset. On a store without reduced forms every
+// record is raw.
+//
+// Records may be any subset of the heads' closure: the import closure check
+// runs against bundle ∪ destination, which is what makes incremental push
+// ship only missing chunks. Records sort by (delta chain depth within the
+// bundle, id): byte-equal for equal store states, but the same logical
+// chunks can pack differently on stores whose physical representation
+// differs — ids, not bundle bytes, are the canonical identity.
+//
+// The importer also accepts the two raw-only layouts older builds wrote:
+//   "FBND": [magic][32B head][varint n][length-prefixed chunk bytes × n]
+//   "FBD2": FBD3's header, records [varint len][chunk bytes]
 #ifndef FORKBASE_STORE_BUNDLE_H_
 #define FORKBASE_STORE_BUNDLE_H_
 
@@ -57,68 +53,52 @@ using BundleSink = std::function<Status(Slice)>;
 struct BundleStats {
   uint64_t chunks = 0;  ///< chunk records written
   uint64_t bytes = 0;   ///< total bundle bytes pushed through the sink
-  /// v3 (packed) exports only: how many records went out in each reduced
-  /// form. `chunks - delta_chunks - compressed_chunks` shipped raw.
+  /// How many records went out in each reduced form.
+  /// `chunks - delta_chunks - compressed_chunks` shipped raw.
   uint64_t delta_chunks = 0;
   uint64_t compressed_chunks = 0;
 };
 
-/// Serializes the closure of `uid` (value tree + full derivation history)
-/// from `store` through `sink`, in the frozen v1 layout.
-StatusOr<BundleStats> ExportBundle(const ChunkStore& store, const Hash256& uid,
-                                   const BundleSink& sink);
-
-/// String-building wrapper over the sink form (identical bytes).
+/// The closure of `uid` (value tree + full derivation history) as one
+/// bundle in memory: ExportDeltaBundle({uid}, {}) into a string.
 StatusOr<std::string> ExportBundle(const ChunkStore& store,
                                    const Hash256& uid);
 
-/// Delta closure export (v2): every chunk reachable from the `want` heads
-/// but not from the `have` heads — exactly what a receiver holding `have`
-/// is missing. `have` uids absent from `store` are ignored (the receiver
-/// may know versions this store never saw); `want` uids must resolve.
+/// Delta closure export: every chunk reachable from the `want` heads but
+/// not from the `have` heads — exactly what a receiver holding `have` is
+/// missing. `have` uids absent from `store` are ignored (the receiver may
+/// know versions this store never saw); `want` uids must resolve.
 StatusOr<BundleStats> ExportDeltaBundle(const ChunkStore& store,
                                         const std::vector<Hash256>& want,
                                         const std::vector<Hash256>& have,
                                         const BundleSink& sink);
 
-/// Explicit-set export (v2): ships exactly `ids` (sorted, deduplicated)
-/// under the given heads. This is the sync push's post-negotiation pack:
-/// the have/want rounds already decided which chunks the peer lacks.
-/// Every id must resolve in `store` and re-hash to itself.
+/// Explicit-set export, and the one bundle writer: ships exactly `ids`
+/// (deduplicated) under the given heads. This is the sync push's
+/// post-negotiation pack: the have/want rounds already decided which
+/// chunks the peer lacks. Every id must resolve in `store` and re-hash to
+/// itself — records are read batched through the store's cache and
+/// checked before they ship. Ids the store reports as stored reduced
+/// (ChunkStore::StoredEncoding) ship in that form: an LZ record as its
+/// compressed payload, a delta record whose base is also in `ids` as the
+/// stored delta, ordered after its base. Everything else ships raw.
 StatusOr<BundleStats> ExportBundleOfIds(const ChunkStore& store,
                                         const std::vector<Hash256>& heads,
                                         const std::vector<Hash256>& ids,
                                         const BundleSink& sink);
 
-/// Packed explicit-set export (v3): same contract as ExportBundleOfIds, but
-/// records ship in the store's physical form where that is safe — an
-/// LZ-compressed record goes out as its compressed payload verbatim, and a
-/// delta record whose base is also in `ids` goes out as the stored delta,
-/// ordered after its base. Records the receiver could not reconstruct from
-/// the bundle alone (delta against an out-of-set base) are materialized and
-/// shipped raw. On a store without physical records (GetPhysicalRecord
-/// returns false for everything) every chunk is materialized and the export
-/// degenerates to "v3 framing, raw bodies" — a v2 pack plus one tag byte
-/// per record. End-to-end integrity moves to the importer: each record is
-/// rebuilt and re-hashed at the destination, so a corrupt payload fails the
-/// import rather than the export.
-StatusOr<BundleStats> ExportPackedBundleOfIds(const ChunkStore& store,
-                                              const std::vector<Hash256>& heads,
-                                              const std::vector<Hash256>& ids,
-                                              const BundleSink& sink);
-
 /// Result of importing a bundle.
 struct ImportResult {
-  Hash256 head;                ///< first head (the uid of a v1 bundle)
+  Hash256 head;                ///< first head (the uid of an FBND bundle)
   std::vector<Hash256> heads;  ///< all heads the bundle was exported for
   uint64_t chunks = 0;         ///< chunks carried by the bundle
   uint64_t new_chunks = 0;     ///< chunks the destination did not already have
   uint64_t bytes = 0;
 };
 
-/// Validates and imports a bundle (either layout) into `dst`. Fails with
-/// kCorruption if any chunk's bytes do not hash to its declared id, if a
-/// head is missing from bundle ∪ dst, or if the closure is incomplete (a
+/// Validates and imports a bundle (any accepted layout) into `dst`. Fails
+/// with kCorruption if any chunk's bytes do not hash to its declared id, if
+/// a head is missing from bundle ∪ dst, or if the closure is incomplete (a
 /// referenced chunk absent from bundle+dst).
 StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst);
 
@@ -168,7 +148,7 @@ class BundleImporter {
 
   ChunkStore* dst_;
   State state_ = State::kMagic;
-  bool packed_ = false;  ///< v3: records carry an encoding tag
+  bool packed_ = false;  ///< FBD3: records carry an encoding tag
   std::string buffer_;
   std::vector<Chunk> staged_;  ///< decoded, not yet written records
   Status error_;

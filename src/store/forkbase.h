@@ -163,8 +163,7 @@ class ForkBase {
     uint64_t segment_bytes = 0;
 
     /// Storage-representation section (see docs/storage.md). All three
-    /// default off/0, which keeps every segment record in the legacy raw
-    /// FBC1 form — byte-identical to what older builds wrote. The knobs
+    /// default off/0, which writes every segment record raw. The knobs
     /// apply to hot and cold file stores alike; chunk ids and reads are
     /// unaffected either way (content addresses hash logical bytes).
     ///

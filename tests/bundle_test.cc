@@ -10,11 +10,56 @@
 #include "chunk/file_chunk_store.h"
 #include "chunk/mem_chunk_store.h"
 #include "store/bundle.h"
+#include "util/codec.h"
 #include "util/datagen.h"
 #include "util/random.h"
 
 namespace forkbase {
 namespace {
+
+constexpr uint32_t kFbd3Magic = 0x46424433;  // "FBD3", the layout written
+constexpr uint32_t kFbndMagic = 0x46424e44;  // "FBND", older builds
+constexpr uint32_t kFbd2Magic = 0x46424432;  // "FBD2", older builds
+
+// Builds a bundle in one of the raw-only layouts older builds wrote. No
+// exporter writes these any more; the importer still accepts them, so the
+// tests build them by hand.
+std::string LegacyBundle(uint32_t magic, const std::vector<Hash256>& heads,
+                         const std::vector<Chunk>& chunks) {
+  std::string out;
+  PutFixed32(&out, magic);
+  if (magic != kFbndMagic) PutVarint64(&out, heads.size());
+  for (const auto& head : heads) {
+    out.append(reinterpret_cast<const char*>(head.bytes.data()), 32);
+  }
+  PutVarint64(&out, chunks.size());
+  for (const auto& chunk : chunks) PutLengthPrefixed(&out, chunk.bytes());
+  return out;
+}
+
+// The closure of `head` in `store`, sorted by id (the legacy layouts'
+// record order).
+std::vector<Chunk> ClosureChunks(const ChunkStore& store,
+                                 const Hash256& head) {
+  auto live = MarkLive(store, {head});
+  EXPECT_TRUE(live.ok());
+  std::vector<Hash256> ids(live->begin(), live->end());
+  std::sort(ids.begin(), ids.end());
+  std::vector<Chunk> chunks;
+  for (const auto& id : ids) {
+    auto chunk = store.Get(id);
+    EXPECT_TRUE(chunk.ok());
+    chunks.push_back(*chunk);
+  }
+  return chunks;
+}
+
+uint32_t MagicOf(const std::string& bundle) {
+  Decoder dec{Slice(bundle)};
+  uint32_t magic = 0;
+  EXPECT_TRUE(dec.GetFixed32(&magic));
+  return magic;
+}
 
 TEST(BundleTest, RoundTripReplicatesBranch) {
   auto src_store = std::make_shared<MemChunkStore>();
@@ -33,6 +78,7 @@ TEST(BundleTest, RoundTripReplicatesBranch) {
   auto bundle = ExportBundle(*src_store, *head);
   ASSERT_TRUE(bundle.ok());
   EXPECT_GT(bundle->size(), 1000u);
+  EXPECT_EQ(MagicOf(*bundle), kFbd3Magic);
 
   // Pull into a completely fresh store.
   auto dst_store = std::make_shared<MemChunkStore>();
@@ -114,10 +160,11 @@ TEST(BundleTest, RejectsMissingHead) {
   ASSERT_TRUE(head.ok());
   auto bundle = ExportBundle(*src_store, *head);
   ASSERT_TRUE(bundle.ok());
-  // Swap the head uid for a different hash: closure can't contain it.
+  // Swap the head uid for a different hash: closure can't contain it. The
+  // head list starts after the magic and the one-byte head count.
   std::string forged = *bundle;
   Hash256 fake = Sha256(Slice("fake"));
-  std::memcpy(forged.data() + 4, fake.bytes.data(), 32);
+  std::memcpy(forged.data() + 5, fake.bytes.data(), 32);
   MemChunkStore dst;
   auto import = ImportBundle(forged, &dst);
   ASSERT_FALSE(import.ok());
@@ -164,7 +211,7 @@ TEST(BundleTest, StreamingSinkMatchesStringForm) {
 
   // The sink form produces the same bytes regardless of write granularity.
   std::string streamed;
-  auto stats = ExportBundle(*store, *head, [&](Slice bytes) {
+  auto stats = ExportDeltaBundle(*store, {*head}, {}, [&](Slice bytes) {
     streamed.append(bytes.data(), bytes.size());
     return Status::OK();
   });
@@ -174,7 +221,7 @@ TEST(BundleTest, StreamingSinkMatchesStringForm) {
   EXPECT_GT(stats->chunks, 0u);
 
   // Sink errors abort the export and surface unchanged.
-  auto refused = ExportBundle(*store, *head, [](Slice) {
+  auto refused = ExportDeltaBundle(*store, {*head}, {}, [](Slice) {
     return Status::IOError("disk full");
   });
   ASSERT_FALSE(refused.ok());
@@ -327,21 +374,19 @@ TEST(PackedBundleTest, RawFallbackIsV2PlusOneTagBytePerRecord) {
   ASSERT_TRUE(live.ok());
   std::vector<Hash256> ids(live->begin(), live->end());
 
-  std::string v2, v3;
-  auto collect = [](std::string* out) {
-    return [out](Slice bytes) {
-      out->append(bytes.data(), bytes.size());
-      return Status::OK();
-    };
-  };
-  auto s2 = ExportBundleOfIds(*store, {*head}, ids, collect(&v2));
-  auto s3 = ExportPackedBundleOfIds(*store, {*head}, ids, collect(&v3));
-  ASSERT_TRUE(s2.ok() && s3.ok());
-  EXPECT_EQ(s3->chunks, s2->chunks);
+  std::string v3;
+  auto s3 = ExportBundleOfIds(*store, {*head}, ids, [&](Slice bytes) {
+    v3.append(bytes.data(), bytes.size());
+    return Status::OK();
+  });
+  ASSERT_TRUE(s3.ok());
+  const std::string v2 =
+      LegacyBundle(kFbd2Magic, {*head}, ClosureChunks(*store, *head));
+  EXPECT_EQ(s3->chunks, ids.size());
   EXPECT_EQ(s3->delta_chunks, 0u) << "a MemChunkStore has no delta records";
   EXPECT_EQ(s3->compressed_chunks, 0u);
   // Identical header length, identical bodies, one encoding tag per record.
-  EXPECT_EQ(v3.size(), v2.size() + s2->chunks);
+  EXPECT_EQ(v3.size(), v2.size() + s3->chunks);
 
   auto dst = std::make_shared<MemChunkStore>();
   auto import = ImportBundle(Slice(v3), dst.get());
@@ -363,12 +408,11 @@ TEST(PackedBundleTest, StreamingImporterHandlesPackedRecords) {
   ASSERT_TRUE(live.ok());
   std::vector<Hash256> ids(live->begin(), live->end());
   std::string packed;
-  ASSERT_TRUE(ExportPackedBundleOfIds(*store, {*head}, ids,
-                                      [&](Slice bytes) {
-                                        packed.append(bytes.data(),
-                                                      bytes.size());
-                                        return Status::OK();
-                                      })
+  ASSERT_TRUE(ExportBundleOfIds(*store, {*head}, ids,
+                                [&](Slice bytes) {
+                                  packed.append(bytes.data(), bytes.size());
+                                  return Status::OK();
+                                })
                   .ok());
 
   // Byte-at-a-time feed: the tag byte must not confuse record framing.
@@ -413,18 +457,15 @@ TEST(PackedBundleTest, ShipsDeltaAndCompressedRecordsFromAnEncodedStore) {
 
   std::vector<Hash256> ids;
   for (const auto& c : chunks) ids.push_back(c.hash());
-  std::string packed, raw;
-  auto collect = [](std::string* out) {
-    return [out](Slice bytes) {
-      out->append(bytes.data(), bytes.size());
-      return Status::OK();
-    };
-  };
-  auto sp = ExportPackedBundleOfIds(fstore, {chunks.front().hash()}, ids,
-                                    collect(&packed));
-  auto sr = ExportBundleOfIds(fstore, {chunks.front().hash()}, ids,
-                              collect(&raw));
-  ASSERT_TRUE(sp.ok() && sr.ok());
+  std::string packed;
+  auto sp = ExportBundleOfIds(fstore, {chunks.front().hash()}, ids,
+                              [&](Slice bytes) {
+                                packed.append(bytes.data(), bytes.size());
+                                return Status::OK();
+                              });
+  ASSERT_TRUE(sp.ok());
+  const std::string raw =
+      LegacyBundle(kFbd2Magic, {chunks.front().hash()}, chunks);
   EXPECT_GT(sp->delta_chunks, 0u) << "the chain must cross the wire as deltas";
   EXPECT_GT(sp->compressed_chunks, 0u);
   EXPECT_LT(packed.size(), raw.size())
@@ -452,12 +493,11 @@ TEST(PackedBundleTest, RejectsUnknownRecordEncoding) {
   ASSERT_TRUE(live.ok());
   std::vector<Hash256> ids(live->begin(), live->end());
   std::string packed;
-  ASSERT_TRUE(ExportPackedBundleOfIds(*store, {*head}, ids,
-                                      [&](Slice bytes) {
-                                        packed.append(bytes.data(),
-                                                      bytes.size());
-                                        return Status::OK();
-                                      })
+  ASSERT_TRUE(ExportBundleOfIds(*store, {*head}, ids,
+                                [&](Slice bytes) {
+                                  packed.append(bytes.data(), bytes.size());
+                                  return Status::OK();
+                                })
                   .ok());
   // Header: magic(4) + varint(1 head) + 32 + varint(chunk count). The first
   // record's tag byte sits right after its length varint; corrupt it.
@@ -471,6 +511,82 @@ TEST(PackedBundleTest, RejectsUnknownRecordEncoding) {
   auto import = ImportBundle(Slice(packed), &dst);
   ASSERT_FALSE(import.ok());
   EXPECT_TRUE(import.status().IsCorruption());
+}
+
+TEST(PackedBundleTest, RejectsAShortDeltaRecord) {
+  // One delta record whose body is the 32-byte base id plus `tail` bytes.
+  auto delta_bundle = [](size_t tail) {
+    std::string out;
+    PutFixed32(&out, kFbd3Magic);
+    PutVarint64(&out, 1);
+    const Hash256 head = Sha256(Slice("head"));
+    out.append(reinterpret_cast<const char*>(head.bytes.data()), 32);
+    PutVarint64(&out, 1);
+    PutVarint64(&out, 32 + tail);
+    out.push_back(static_cast<char>(ChunkStore::Encoding::kDelta));
+    const Hash256 base = Sha256(Slice("base"));
+    out.append(reinterpret_cast<const char*>(base.bytes.data()), 32);
+    out.append(tail, '\x01');
+    return out;
+  };
+  MemChunkStore dst;
+  // 34 bytes: shorter than any delta a store can hold (ChunkStore::
+  // kMinDeltaBody), so the record is malformed before its base is looked up.
+  auto short_import = ImportBundle(Slice(delta_bundle(2)), &dst);
+  ASSERT_FALSE(short_import.ok());
+  EXPECT_TRUE(short_import.status().IsCorruption());
+  EXPECT_NE(short_import.status().message().find("short delta record"),
+            std::string::npos)
+      << short_import.status().ToString();
+  // At the minimum size the record is well-formed and fails on its base.
+  auto min_import = ImportBundle(
+      Slice(delta_bundle(ChunkStore::kMinDeltaBody - 32)), &dst);
+  ASSERT_FALSE(min_import.ok());
+  EXPECT_EQ(min_import.status().message().find("short delta record"),
+            std::string::npos)
+      << min_import.status().ToString();
+}
+
+// ------------------------------------------------ legacy bundle layouts --
+
+TEST(LegacyBundleTest, ImportsHandBuiltFbndAndFbd2) {
+  auto store = std::make_shared<MemChunkStore>();
+  ForkBase src(store);
+  CsvGenOptions opts;
+  opts.num_rows = 300;
+  ASSERT_TRUE(src.PutTableFromCsv("ds", GenerateCsv(opts)).ok());
+  ASSERT_TRUE(src.UpdateTableCell("ds", "r00000100", 2, "edited").ok());
+  auto head = src.Head("ds");
+  ASSERT_TRUE(head.ok());
+  const std::vector<Chunk> closure = ClosureChunks(*store, *head);
+
+  for (uint32_t magic : {kFbndMagic, kFbd2Magic}) {
+    SCOPED_TRACE(magic == kFbndMagic ? "FBND" : "FBD2");
+    const std::string bundle = LegacyBundle(magic, {*head}, closure);
+
+    auto one_shot_dst = std::make_shared<MemChunkStore>();
+    auto one_shot = ImportBundle(Slice(bundle), one_shot_dst.get());
+    ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+    EXPECT_EQ(one_shot->head, *head);
+    EXPECT_EQ(one_shot->chunks, closure.size());
+    EXPECT_EQ(one_shot->new_chunks, closure.size());
+
+    // Byte-at-a-time: every legacy framing boundary is crossed mid-unit.
+    auto streamed_dst = std::make_shared<MemChunkStore>();
+    BundleImporter importer(streamed_dst.get());
+    for (size_t i = 0; i < bundle.size(); ++i) {
+      ASSERT_TRUE(importer.Feed(Slice(bundle.data() + i, 1)).ok());
+    }
+    auto streamed = importer.Finish();
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_EQ(streamed->head, *head);
+    EXPECT_EQ(streamed->chunks, closure.size());
+
+    ForkBase replica(streamed_dst);
+    replica.branches().SetHead("ds", "master", *head);
+    ASSERT_TRUE(replica.Verify(*head).ok());
+    EXPECT_EQ(**replica.GetTable("ds")->GetCell("r00000100", 2), "edited");
+  }
 }
 
 // ------------------------------------------- typed update conveniences --

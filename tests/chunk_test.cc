@@ -241,11 +241,11 @@ TEST_F(FileChunkStoreTest, VerifyOnGetDetectsDiskCorruption) {
     ASSERT_TRUE((*store)->Put(c).ok());
     id = c.hash();
   }
-  // Flip a byte inside the stored record (past the 40-byte header).
+  // Flip a byte inside the stored record (past the 45-byte FBC2 header).
   {
     std::fstream f(dir_ + "/segment-0.fbc",
                    std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(45);
+    f.seekp(50);
     f.put('X');
   }
   auto reopened = FileChunkStore::Open(dir_, options);
@@ -742,18 +742,59 @@ TEST_F(FileChunkStoreTest, TornTailMidDeltaRecordIsDiscardedOnReopen) {
   EXPECT_TRUE((*reopened)->Get(after.hash()).ok());
 }
 
-TEST_F(FileChunkStoreTest, MixedFbc1AndFbc2SegmentsReplayTogether) {
-  // Phase A: a legacy-format store (defaults write FBC1 raw records).
-  std::vector<Chunk> legacy;
+TEST_F(FileChunkStoreTest, DefaultOptionsWriteFbc2RawRecords) {
+  std::vector<Chunk> chunks;
   {
     auto store = FileChunkStore::Open(dir_);
     ASSERT_TRUE(store.ok());
+    Rng rng(37);
+    for (int i = 0; i < 4; ++i) {
+      chunks.push_back(MakeTestChunk(rng.NextBytes(100 + i)));
+    }
+    ASSERT_TRUE((*store)->PutMany(chunks).ok());
+  }
+  std::ifstream in(dir_ + "/segment-0.fbc", std::ios::binary);
+  std::string segment((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  size_t pos = 0;
+  for (const auto& c : chunks) {
+    // [magic "FBC2"][hash][payload_len][enc = raw][logical_len][bytes]
+    ASSERT_LE(pos + 45 + c.size(), segment.size());
+    uint32_t magic = 0, payload_len = 0, logical_len = 0;
+    std::memcpy(&magic, segment.data() + pos, 4);
+    std::memcpy(&payload_len, segment.data() + pos + 36, 4);
+    std::memcpy(&logical_len, segment.data() + pos + 41, 4);
+    EXPECT_EQ(magic, 0x46424332u);
+    EXPECT_EQ(std::memcmp(segment.data() + pos + 4, c.hash().bytes.data(), 32),
+              0);
+    EXPECT_EQ(segment[pos + 40], 0) << "raw records carry enc 0";
+    EXPECT_EQ(payload_len, c.size());
+    EXPECT_EQ(logical_len, c.size());
+    EXPECT_EQ(segment.substr(pos + 45, c.size()), c.bytes().ToString());
+    pos += 45 + c.size();
+  }
+  EXPECT_EQ(pos, segment.size());
+}
+
+TEST_F(FileChunkStoreTest, MixedFbc1AndFbc2SegmentsReplayTogether) {
+  // Phase A: a segment in the FBC1 layout older builds wrote for raw
+  // records, [magic "FBC1"][hash][len][chunk bytes]. Nothing writes it any
+  // more, so the test does, to keep the replay reader under test.
+  std::vector<Chunk> legacy;
+  {
+    std::filesystem::create_directories(dir_);
+    std::ofstream seg(dir_ + "/segment-0.fbc", std::ios::binary);
     Rng rng(33);
     for (int i = 0; i < 8; ++i) {
       legacy.push_back(MakeTestChunk(rng.NextBytes(200)));
-      ASSERT_TRUE((*store)->Put(legacy.back()).ok());
+      const Chunk& c = legacy.back();
+      const uint32_t magic = 0x46424331;
+      const uint32_t len = static_cast<uint32_t>(c.size());
+      seg.write(reinterpret_cast<const char*>(&magic), 4);
+      seg.write(reinterpret_cast<const char*>(c.hash().bytes.data()), 32);
+      seg.write(reinterpret_cast<const char*>(&len), 4);
+      seg.write(c.bytes().data(), len);
     }
-    ASSERT_TRUE((*store)->Flush().ok());
   }
   // Phase B: the same directory reopened with encoding on appends FBC2
   // records beside the old ones.

@@ -324,6 +324,35 @@ TEST_F(CliTest, PullFileRefusesToOverwriteADivergedBranch) {
   std::filesystem::remove_all(db2);
 }
 
+TEST_F(CliTest, DeepVerifyCensusCountsEncodedRecords) {
+  CsvGenOptions opts;
+  opts.num_rows = 2000;
+  std::string csv_path = ::testing::TempDir() + "/cli_deep.csv";
+  {
+    std::ofstream f(csv_path);
+    f << WriteCsv(GenerateCsv(opts));
+  }
+  std::string out, err;
+  ASSERT_EQ(Run({"--compress", "--delta-depth", "3", "put-csv", "ds",
+                 csv_path},
+                &out, &err),
+            0)
+      << err;
+  ASSERT_EQ(Run({"verify", "--deep"}, &out, &err), 0) << err;
+  // "deep: N records, D delta, C compressed, B bad"
+  const size_t at = out.find("deep: ");
+  ASSERT_NE(at, std::string::npos) << out;
+  std::istringstream census(out.substr(at + 6));
+  uint64_t records = 0, deltas = 0, compressed = 0, bad = 0;
+  std::string word;
+  census >> records >> word >> deltas >> word >> compressed >> word >> bad;
+  EXPECT_GT(records, 0u) << out;
+  EXPECT_GT(deltas, 0u) << out;
+  EXPECT_GT(compressed, 0u) << out;
+  EXPECT_EQ(bad, 0u) << out;
+  std::filesystem::remove(csv_path);
+}
+
 TEST_F(CliTest, StatKeyReportsObjectShape) {
   CsvGenOptions opts;
   opts.num_rows = 400;

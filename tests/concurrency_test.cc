@@ -155,13 +155,13 @@ TEST(ConcurrencyTest, ConcurrentBatchedFileStoreOps) {
   // Every put either created a chunk or hit dedup; nothing was lost.
   EXPECT_EQ(stats.chunk_count + stats.dedup_hits, stats.put_calls);
   // Racing writers must not have appended duplicate records: with one
-  // 40-byte header per record, the bytes on disk must equal exactly one
-  // record per distinct chunk.
+  // 45-byte FBC2 header per record, the bytes on disk must equal exactly
+  // one record per distinct chunk.
   uint64_t on_disk = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() == ".fbc") on_disk += entry.file_size();
   }
-  EXPECT_EQ(on_disk, stats.physical_bytes + 40u * stats.chunk_count);
+  EXPECT_EQ(on_disk, stats.physical_bytes + 45u * stats.chunk_count);
   std::filesystem::remove_all(dir);
 }
 
@@ -191,9 +191,9 @@ TEST(ConcurrencyTest, DedupRacePersistsNoDuplicateRecords) {
     EXPECT_EQ(store.stats().chunk_count, 50u);
   }
   // Duplicate appended records would show up directly in the segment size:
-  // exactly 50 records of header (40) + tag+payload (101) must exist.
+  // exactly 50 records of FBC2 header (45) + tag+payload (101) must exist.
   EXPECT_EQ(std::filesystem::file_size(dir + "/segment-0.fbc"),
-            50u * (40u + 101u));
+            50u * (45u + 101u));
   auto reopened_or = FileChunkStore::Open(dir);
   ASSERT_TRUE(reopened_or.ok());
   EXPECT_EQ((*reopened_or)->stats().chunk_count, 50u);

@@ -294,4 +294,24 @@ SERVER_PID=""
 [[ "$("$CLI" --db "$ENCDB" get doc)" == "rev8 $BODY" ]]
 "$CLI" --db "$ENCDB" verify-all >/dev/null
 
+# ------------------------------------------------------ offline bundle --
+# 12. Offline round trip: `push KEY FILE` writes an FBD3 bundle (magic
+# 0x46424433, stored little-endian), and `pull FILE` into a fresh database
+# reproduces the head; the replica's deep audit finds nothing bad.
+BUNDLE="$WORK/doc.fbb"
+"$CLI" --db "$ENCDB" "${ENC_FLAGS[@]}" push bigdoc "$BUNDLE" >/dev/null
+MAGIC="$(head -c 4 "$BUNDLE" | od -An -tx1 | tr -d ' \n')"
+if [[ "$MAGIC" != "33444246" ]]; then
+  echo "FAIL: bundle file starts with $MAGIC, not the FBD3 magic"
+  exit 1
+fi
+"$CLI" --db "$WORK/offline" pull "$BUNDLE" >/dev/null
+[[ "$("$CLI" --db "$WORK/offline" head bigdoc)" == \
+   "$("$CLI" --db "$ENCDB" head bigdoc)" ]]
+cmp <("$CLI" --db "$WORK/offline" get bigdoc) \
+    <("$CLI" --db "$ENCDB" get bigdoc)
+DEEP="$("$CLI" --db "$WORK/offline" verify --deep)"
+grep -Eq '^deep: [0-9]+ records, [0-9]+ delta, [0-9]+ compressed, 0 bad$' \
+    <<<"$DEEP" || { echo "FAIL: offline replica deep audit: $DEEP"; exit 1; }
+
 echo "serve smoke OK"
