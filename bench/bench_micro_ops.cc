@@ -16,6 +16,9 @@
 #include "chunk/mem_chunk_store.h"
 #include "chunk/remote_chunk_store.h"
 #include "chunk/tiered_chunk_store.h"
+#include "net/client.h"
+#include "net/server.h"
+#include "net/sync.h"
 #include "postree/builder.h"
 #include "postree/diff.h"
 #include "postree/splitter.h"
@@ -814,8 +817,9 @@ void BM_SyncPushFull(benchmark::State& state) {
   benchmark::DoNotOptimize(bytes);
 }
 // Real time: the export hashes on a worker pool, so main-thread CPU time
-// would miss most of the work.
-BENCHMARK(BM_SyncPushFull)->UseRealTime();
+// would miss most of the work. Five repetitions: the comparison gate reads
+// their median, since single runs of these millisecond exports swing.
+BENCHMARK(BM_SyncPushFull)->UseRealTime()->Repetitions(5);
 
 void BM_SyncPushDelta(benchmark::State& state) {
   const SyncCorpus& corpus = GetSyncCorpus();
@@ -831,7 +835,61 @@ void BM_SyncPushDelta(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   benchmark::DoNotOptimize(bytes);
 }
-BENCHMARK(BM_SyncPushDelta)->UseRealTime();
+BENCHMARK(BM_SyncPushDelta)->UseRealTime()->Repetitions(5);
+
+// The whole steady-state push against a live server: a one-key update of
+// a 20k-entry map whose local history holds state.range(0) versions, then
+// SyncPush to an in-process server on a unix socket that holds everything
+// but the update. Negotiation, the delta walk on both ends, the upload and
+// the head publish are all timed, so the pair /1000 over /100 shows
+// whether a push costs what it ships or what the history holds.
+void BM_SyncPushIncremental(benchmark::State& state) {
+  ScopedStoreDir dir("sync_push");
+  std::filesystem::create_directories(dir.path());
+  ForkBase local(std::make_shared<MemChunkStore>());
+  ForkBase remote(std::make_shared<MemChunkStore>());
+  auto server =
+      ForkBaseServer::Start(&remote, "unix:" + dir.path() + "/sock");
+  if (!server.ok()) {
+    state.SkipWithError(server.status().ToString().c_str());
+    return;
+  }
+  auto client = ForkBaseClient::Connect((*server)->address());
+  auto kvs = RandomKvs(20000, 19);
+  std::vector<std::pair<std::string, std::string>> pairs(kvs.begin(),
+                                                         kvs.end());
+  bool ok = client.ok() && local.PutMap("k", pairs).ok();
+  int64_t edit = 0;
+  auto update = [&] {
+    return local
+        .UpdateMap("k", {KeyedOp{"bench-key-" + std::to_string(edit++ % 5000),
+                                 std::to_string(edit)}})
+        .ok();
+  };
+  for (int64_t v = 1; ok && v < state.range(0); ++v) ok = update();
+  ok = ok && SyncPush(&local, &*client).ok();
+  if (!ok) {
+    state.SkipWithError("corpus setup failed");
+    (*server)->Stop();
+    return;
+  }
+  for (auto _ : state) {
+    bool pushed = update();
+    auto stats = SyncPush(&local, &*client);
+    pushed = pushed && stats.ok() && stats->branches_updated == 1;
+    if (!pushed) {
+      state.SkipWithError("push failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  (*server)->Stop();
+}
+BENCHMARK(BM_SyncPushIncremental)
+    ->Arg(100)
+    ->Arg(1000)
+    ->UseRealTime()
+    ->Repetitions(5);
 
 // ---- GC: in-place sweep, copy collection, parallel compaction ------------
 //

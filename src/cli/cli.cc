@@ -586,8 +586,10 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
       return Status::InvalidArgument("pull FILE | pull ADDRESS [KEY]");
     }
     FB_ASSIGN_OR_RETURN(std::string bundle, ReadFile(pos[1]));
+    BundleImporter importer(db.store());
+    FB_RETURN_IF_ERROR(importer.Feed(bundle));
     FB_ASSIGN_OR_RETURN(ImportResult result,
-                        ImportBundle(bundle, db.store()));
+                        importer.Finish(db.HeadsOfKeysOf(importer.heads())));
     FB_ASSIGN_OR_RETURN(VersionInfo info, db.Meta(result.head));
     FB_RETURN_IF_ERROR(
         db.FastForward(info.key, ctx.branch, result.head).status());

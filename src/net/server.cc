@@ -809,10 +809,12 @@ std::string ForkBaseServer::HandleRequest(
         break;
       }
       // Finish may still flush buffered records into the store; same
-      // lease rule as BUNDLE_PART.
+      // lease rule as BUNDLE_PART. Its closure check trusts this server's
+      // heads of the keys the bundle's heads belong to.
       auto result = [&] {
         auto lease = db_->AcquireWriteLease();
-        return session->importer->Finish();
+        return session->importer->Finish(
+            db_->HeadsOfKeysOf(session->importer->heads()));
       }();
       session->importer.reset();
       session->bundle_bytes = 0;

@@ -15,33 +15,6 @@ namespace forkbase {
 
 namespace {
 
-/// Chunks the peer holds for sure, given heads it has that this store also
-/// holds: every version in their history (the FNodes) plus the closure of
-/// the heads' own values. Pages only older versions reach are left out, so
-/// a push walks O(versions + head size) chunks instead of every page of
-/// every version; a page an old version shares with the new one is a
-/// candidate the Offer rounds then drop.
-StatusOr<std::unordered_set<Hash256, Hash256Hasher>> PeerFrontier(
-    const ChunkStore& store, const std::vector<Hash256>& heads) {
-  std::vector<Hash256> values;
-  for (const auto& uid : heads) {
-    FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(&store, uid));
-    if (node.value.is_container()) values.push_back(node.value.root());
-  }
-  std::unordered_set<Hash256, Hash256Hasher> known;
-  std::vector<Hash256> pending = heads;
-  while (!pending.empty()) {
-    const Hash256 uid = pending.back();
-    pending.pop_back();
-    if (!known.insert(uid).second) continue;
-    FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(&store, uid));
-    pending.insert(pending.end(), node.bases.begin(), node.bases.end());
-  }
-  FB_ASSIGN_OR_RETURN(auto pages, MarkLive(store, values, &known));
-  known.insert(pages.begin(), pages.end());
-  return known;
-}
-
 struct Target {
   std::string key;
   std::string branch;
@@ -115,15 +88,16 @@ Status SyncPushInto(ForkBase* db, ForkBaseClient* client,
   }
   if (targets.empty()) return Status::OK();
 
-  // The peer's frontier, as far as this store knows it: remote heads we
-  // also hold bound the delta closure below.
+  // The peer's heads bound the delta: MarkDelta stops at the versions
+  // they reach and prunes the subtrees the new versions share with them,
+  // so the walk costs what the push ships. Remote heads this store never
+  // saw are ignored.
   std::vector<Hash256> have;
-  for (const auto& h : remote_heads) {
-    if (db->store()->Contains(h.uid)) have.push_back(h.uid);
-  }
-  FB_ASSIGN_OR_RETURN(auto excluded, PeerFrontier(*db->store(), have));
-  FB_ASSIGN_OR_RETURN(auto delta, MarkLive(*db->store(), want, &excluded));
-  std::vector<Hash256> candidates(delta.begin(), delta.end());
+  have.reserve(remote_heads.size());
+  for (const auto& h : remote_heads) have.push_back(h.uid);
+  FB_ASSIGN_OR_RETURN(DeltaClosure delta,
+                      MarkDelta(*db->store(), want, have));
+  std::vector<Hash256> candidates = std::move(delta.ids);
   std::sort(candidates.begin(), candidates.end());
 
   // Have/want rounds: the head comparison bounds the closure, the Offer
@@ -220,9 +194,13 @@ Status SyncPullInto(ForkBase* db, ForkBaseClient* client,
                         client->PullDelta(want, LocalHeads(db)));
     stats.chunks_received = delta.chunks;
     stats.bytes_received = delta.bytes;
+    // FastForward below checks each pulled head's closure before it
+    // publishes it, and the pin keeps the imported chunks until then, so
+    // the import trusts the pulled heads instead of walking them twice:
+    // it checks every chunk's id and that the heads arrived.
     auto lease = db->AcquireWriteLease();
     FB_ASSIGN_OR_RETURN(auto imported,
-                        ImportBundle(Slice(delta.bundle), db->store()));
+                        ImportBundle(Slice(delta.bundle), db->store(), want));
     stats.remote_new_chunks = imported.new_chunks;
   }
 

@@ -4,11 +4,18 @@
 // chunk ids so the sender ships only chunks the receiver is missing, move
 // the closure as a bundle, then fast-forward heads. Both directions drive
 // the same server verbs (net/server.h):
-//   SyncPush — local heads out: Offer rounds prune the delta closure, a
-//              streamed bundle upload ships it, UpdateHead publishes.
+//   SyncPush — local heads out: MarkDelta (store/gc.h) from the changed
+//              local heads against the peer's heads gives the candidates,
+//              Offer rounds drop what the peer already has, a streamed
+//              bundle upload ships the rest, UpdateHead publishes.
 //   SyncPull — remote heads in: PullDelta streams the missing closure
-//              back (the server computes the delta against our heads),
+//              back (the server runs MarkDelta against our heads),
 //              ImportBundle lands it, local heads fast-forward.
+// Every closure walk on both ends is that one delta walk, so a sync
+// costs what it ships, not what the history holds. The receiving side
+// checks what it is sent: the server's BUNDLE_END and every FastForward
+// walk the new versions down to the receiver's current heads, which are
+// trusted to have complete closures.
 // Divergent branches are never clobbered: a non-fast-forward head counts
 // as a conflict in the stats and is left for a real merge.
 #ifndef FORKBASE_NET_SYNC_H_

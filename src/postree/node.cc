@@ -81,6 +81,21 @@ bool ParseIndexEntries(Slice payload, std::vector<IndexEntry>* out) {
   return true;
 }
 
+bool AppendIndexChildren(Slice payload, std::vector<Hash256>* out) {
+  Decoder dec(payload);
+  while (!dec.AtEnd()) {
+    Slice hash_bytes, key;
+    uint64_t count = 0;
+    if (!dec.GetRaw(32, &hash_bytes) || !dec.GetVarint64(&count) ||
+        !dec.GetLengthPrefixed(&key)) {
+      return false;
+    }
+    Hash256& child = out->emplace_back();
+    std::memcpy(child.bytes.data(), hash_bytes.data(), 32);
+  }
+  return true;
+}
+
 StatusOr<uint64_t> LeafEntryCount(ChunkType type, Slice payload) {
   if (type == ChunkType::kBlobLeaf) return static_cast<uint64_t>(payload.size());
   if (IsLeafType(type)) {

@@ -56,6 +56,10 @@ bool ParseLeafEntries(ChunkType type, Slice payload,
 /// Parses all index entries of a kMeta payload.
 bool ParseIndexEntries(Slice payload, std::vector<IndexEntry>* out);
 
+/// Appends the child ids of a kMeta payload to `out`, skipping counts and
+/// keys without copying them: what reachability walks need.
+bool AppendIndexChildren(Slice payload, std::vector<Hash256>* out);
+
 /// Leaf entry count of a node payload (blob leaves: byte count).
 StatusOr<uint64_t> LeafEntryCount(ChunkType type, Slice payload);
 

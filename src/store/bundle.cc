@@ -60,17 +60,10 @@ StatusOr<BundleStats> ExportDeltaBundle(const ChunkStore& store,
                                         const std::vector<Hash256>& want,
                                         const std::vector<Hash256>& have,
                                         const BundleSink& sink) {
-  // The receiver's closure, as far as this store can compute it: `have`
-  // heads the store never saw contribute nothing (and must not fail the
-  // walk — the receiver may be ahead on other branches).
-  std::vector<Hash256> have_present;
-  for (const auto& id : have) {
-    if (store.Contains(id)) have_present.push_back(id);
-  }
-  FB_ASSIGN_OR_RETURN(auto excluded, MarkLive(store, have_present));
-  FB_ASSIGN_OR_RETURN(auto live, MarkLive(store, want, &excluded));
-  std::vector<Hash256> ids(live.begin(), live.end());
-  return ExportBundleOfIds(store, want, ids, sink);
+  // `have` heads the store never saw contribute nothing (the receiver may
+  // be ahead on other branches); MarkDelta ignores them.
+  FB_ASSIGN_OR_RETURN(DeltaClosure delta, MarkDelta(store, want, have));
+  return ExportBundleOfIds(store, want, delta.ids, sink);
 }
 
 StatusOr<BundleStats> ExportBundleOfIds(const ChunkStore& store,
@@ -176,10 +169,11 @@ StatusOr<BundleStats> ExportBundleOfIds(const ChunkStore& store,
   return stats;
 }
 
-StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst) {
+StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst,
+                                    const std::vector<Hash256>& trusted) {
   BundleImporter importer(dst);
   FB_RETURN_IF_ERROR(importer.Feed(bundle));
-  return importer.Finish();
+  return importer.Finish(trusted);
 }
 
 namespace {
@@ -364,7 +358,8 @@ Status BundleImporter::FlushStaged() {
   return Status::OK();
 }
 
-StatusOr<ImportResult> BundleImporter::Finish() {
+StatusOr<ImportResult> BundleImporter::Finish(
+    const std::vector<Hash256>& trusted) {
   if (!error_.ok()) return error_;
   FB_RETURN_IF_ERROR(FlushStaged());
   if (state_ != State::kRecords || chunks_seen_ != chunks_expected_ ||
@@ -378,8 +373,9 @@ StatusOr<ImportResult> BundleImporter::Finish() {
       return Fail("bundle does not contain its head uid");
     }
   }
-  // Closure check: every head must be fully traversable in dst.
-  auto closure = MarkLive(*dst_, result_.heads);
+  // Closure check: every head must be traversable in dst down to what the
+  // trusted heads already hold.
+  auto closure = MarkDelta(*dst_, result_.heads, trusted);
   if (!closure.ok()) {
     return Fail("bundle closure incomplete: " + closure.status().message());
   }

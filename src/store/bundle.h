@@ -64,10 +64,11 @@ struct BundleStats {
 StatusOr<std::string> ExportBundle(const ChunkStore& store,
                                    const Hash256& uid);
 
-/// Delta closure export: every chunk reachable from the `want` heads but
-/// not from the `have` heads — exactly what a receiver holding `have` is
-/// missing. `have` uids absent from `store` are ignored (the receiver may
-/// know versions this store never saw); `want` uids must resolve.
+/// Delta closure export: the chunks MarkDelta finds reachable from the
+/// `want` heads but not from the `have` heads — what a receiver holding
+/// `have` is missing, found in O(delta) loads however long the history.
+/// `have` uids absent from `store` are ignored (the receiver may know
+/// versions this store never saw); `want` uids must resolve.
 StatusOr<BundleStats> ExportDeltaBundle(const ChunkStore& store,
                                         const std::vector<Hash256>& want,
                                         const std::vector<Hash256>& have,
@@ -99,8 +100,11 @@ struct ImportResult {
 /// Validates and imports a bundle (any accepted layout) into `dst`. Fails
 /// with kCorruption if any chunk's bytes do not hash to its declared id, if
 /// a head is missing from bundle ∪ dst, or if the closure is incomplete (a
-/// referenced chunk absent from bundle+dst).
-StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst);
+/// referenced chunk absent from bundle+dst). `trusted` is as for
+/// BundleImporter::Finish.
+StatusOr<ImportResult> ImportBundle(
+    Slice bundle, ChunkStore* dst,
+    const std::vector<Hash256>& trusted = std::vector<Hash256>());
 
 /// Streaming, incremental bundle import. Feed() accepts bundle bytes in
 /// arbitrary split points as they arrive off the wire; every chunk record
@@ -117,6 +121,14 @@ StatusOr<ImportResult> ImportBundle(Slice bundle, ChunkStore* dst);
 /// Finish() runs the head-presence and closure checks that one-shot
 /// ImportBundle runs, and returns the same accounting. Errors are sticky;
 /// an importer is single-use.
+///
+/// The closure check is MarkDelta from the bundle's heads against the
+/// `trusted` heads the caller passes: the receiver's current branch heads
+/// of the keys the bundle's heads belong to (ForkBase::HeadsOfKeysOf).
+/// A chunk reachable from a current branch head has a complete closure —
+/// ForkBase::FastForward checks that before it publishes a head — so the
+/// check loads only what the bundle adds, not every past version. With
+/// nothing trusted it walks the heads' whole closure.
 class BundleImporter {
  public:
   explicit BundleImporter(ChunkStore* dst) : dst_(dst) {}
@@ -126,8 +138,15 @@ class BundleImporter {
   Status Feed(Slice bytes);
 
   /// Validates bundle completeness (no partial record, heads present in
-  /// bundle ∪ dst, closure traversable) and returns the accounting.
-  StatusOr<ImportResult> Finish();
+  /// bundle ∪ dst, closure traversable down to the `trusted` heads) and
+  /// returns the accounting.
+  StatusOr<ImportResult> Finish(
+      const std::vector<Hash256>& trusted = std::vector<Hash256>());
+
+  /// The head uids of the bundle header, once it has been parsed; after
+  /// Feed returns, every chunk fed so far is in the store, so a caller can
+  /// look these heads up to choose Finish's trusted heads.
+  const std::vector<Hash256>& heads() const { return result_.heads; }
 
   /// Bytes buffered awaiting a complete parse unit — the importer's entire
   /// staging footprint.

@@ -1,6 +1,8 @@
 #include "store/commit_queue.h"
 
+#include <algorithm>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "store/fnode.h"
@@ -18,6 +20,18 @@ CommitQueue::CommitQueue(ChunkStore* store, BranchTable* branches,
     : store_(store), branches_(branches), clock_(clock), commits_(commits) {}
 
 CommitQueue::~CommitQueue() { pool_.Shutdown(); }
+
+uint64_t CommitQueue::BaseTime(
+    const Hash256& base,
+    const std::unordered_map<Hash256, uint64_t, Hash256Hasher>& batch_times)
+    const {
+  auto it = batch_times.find(base);
+  if (it != batch_times.end()) return it->second;
+  auto chunk = store_->Get(base);
+  if (!chunk.ok()) return 0;
+  auto node = FNode::FromChunk(*chunk);
+  return node.ok() ? node->logical_time : 0;
+}
 
 StatusOr<Hash256> CommitQueue::Commit(Request req) {
   auto entry = std::make_unique<Entry>();
@@ -93,6 +107,7 @@ void CommitQueue::Drain() {
       return std::nullopt;
     };
 
+    std::unordered_map<Hash256, uint64_t, Hash256Hasher> batch_times;
     std::vector<Chunk> chunks;          // commit entries only
     std::vector<std::optional<Hash256>> uids(batch.size());  // nullopt=raced
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -124,9 +139,18 @@ void CommitQueue::Drain() {
       }
       node.author = req.author;
       node.message = req.message;
-      node.logical_time = clock_->fetch_add(1) + 1;
+      // Lamport order: a version's time exceeds its bases', also across
+      // instances whose counters started apart, so history walks that go
+      // newest first (MarkDelta) meet descendants before their ancestors.
+      uint64_t time = clock_->load() + 1;
+      for (const Hash256& base : node.bases) {
+        time = std::max(time, BaseTime(base, batch_times) + 1);
+      }
+      clock_->store(time);
+      node.logical_time = time;
       Chunk chunk = node.ToChunk();
       uids[i] = chunk.hash();
+      batch_times[chunk.hash()] = time;
       pending_heads[{req.key, req.branch}] = chunk.hash();
       chunks.push_back(std::move(chunk));
     }

@@ -30,6 +30,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chunk/chunk_store.h"
@@ -102,6 +103,11 @@ class CommitQueue {
 
   /// Runs on the pool thread; loops until the queue is observed empty.
   void Drain();
+  /// Logical time of the version `base`: from this drain's batch, else
+  /// from the store (0 when it cannot be read).
+  uint64_t BaseTime(const Hash256& base,
+                    const std::unordered_map<Hash256, uint64_t, Hash256Hasher>&
+                        batch_times) const;
 
   ChunkStore* const store_;
   BranchTable* const branches_;

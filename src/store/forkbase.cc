@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <set>
 #include <sstream>
 #include <unordered_set>
 
@@ -39,25 +40,19 @@ Status PinReachableForSweep(ChunkStore* store, const Hash256& target) {
   return Status::OK();
 }
 
-/// True iff `target` appears in the derivation history reachable from
-/// `head` through FNode bases (head == target counts) — the fast-forward
-/// test of FastForward.
-StatusOr<bool> HistoryContains(const ChunkStore& store, const Hash256& head,
-                               const Hash256& target) {
-  if (head == target) return true;
-  std::unordered_set<Hash256, Hash256Hasher> seen{head};
-  std::queue<Hash256> frontier;
-  frontier.push(head);
-  while (!frontier.empty()) {
-    Hash256 uid = frontier.front();
-    frontier.pop();
-    FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(&store, uid));
-    for (const auto& base : node.bases) {
-      if (base == target) return true;
-      if (seen.insert(base).second) frontier.push(base);
-    }
+/// The closure check of a publish that points a branch at an existing
+/// version: MarkDelta from `uid` against heads whose closures are trusted.
+/// A missing chunk fails it with kNotFound.
+StatusOr<DeltaClosure> CheckClosure(const ChunkStore& store,
+                                    const Hash256& uid,
+                                    const std::vector<Hash256>& trusted) {
+  auto delta = MarkDelta(store, {uid}, trusted);
+  if (!delta.ok() && delta.status().IsNotFound()) {
+    return Status::NotFound("version " + uid.ToBase32() +
+                            " has an incomplete closure: " +
+                            delta.status().message());
   }
-  return false;
+  return delta;
 }
 
 }  // namespace
@@ -223,27 +218,36 @@ StatusOr<Hash256> ForkBase::AdvanceHeadLeased(const std::string& key,
 StatusOr<bool> ForkBase::FastForward(const std::string& key,
                                      const std::string& branch,
                                      const Hash256& uid) {
-  // A concurrent commit can move the head between the ancestry check and
-  // the queue-ordered advance; re-read and re-check a bounded number of
-  // times before giving up.
+  // A concurrent commit can move the head between the check and the
+  // queue-ordered advance; re-read and re-check a bounded number of times
+  // before giving up.
   constexpr int kMaxRaceRetries = 16;
   for (int attempt = 0; attempt < kMaxRaceRetries; ++attempt) {
+    // The lease spans check and advance, so no sweep erase batch runs
+    // between the walk that found the closure complete and the publish.
+    auto lease = AcquireWriteLease();
     auto head = Head(key, branch);
     if (!head.ok()) {
-      Status created = BranchFromVersion(key, branch, uid);
+      Status created = BranchFromVersionLeased(key, branch, uid);
       if (created.ok()) return true;
       if (created.code() == StatusCode::kAlreadyExists) continue;  // raced
       return created;
     }
     if (*head == uid) return false;
-    FB_ASSIGN_OR_RETURN(bool fast_forward,
-                        HistoryContains(*store_, uid, *head));
-    if (!fast_forward) {
+    // The head's closure is complete (it was checked when it was
+    // published), so the walk stops there: it loads what `uid` adds, and
+    // reaching the head is the fast-forward test.
+    FB_ASSIGN_OR_RETURN(DeltaClosure delta,
+                        CheckClosure(*store_, uid, {*head}));
+    if (delta.reached.empty()) {
       return Status::MergeConflict(
           "branch " + key + "@" + branch +
           " has commits the new head does not include; merge instead");
     }
-    auto advanced = AdvanceHead(key, branch, *head, uid);
+    if (gc_sweep_active()) {
+      FB_RETURN_IF_ERROR(PinReachableForSweep(store_.get(), uid));
+    }
+    auto advanced = AdvanceHeadLeased(key, branch, *head, uid);
     if (advanced.ok()) return true;
     if (advanced.status().code() != StatusCode::kAlreadyExists) {
       return advanced.status();
@@ -417,6 +421,23 @@ bool ForkBase::IsBranchHead(const std::string& key, const Hash256& uid) const {
   return false;
 }
 
+std::vector<Hash256> ForkBase::HeadsOfKeysOf(
+    const std::vector<Hash256>& uids) const {
+  std::set<std::string> keys;
+  for (const Hash256& uid : uids) {
+    auto node = FNode::Load(store_.get(), uid);
+    if (node.ok()) keys.insert(node->key);
+  }
+  std::vector<Hash256> heads;
+  for (const std::string& key : keys) {
+    for (const auto& [branch, head] : branch_table_.Heads(key)) {
+      (void)branch;
+      heads.push_back(head);
+    }
+  }
+  return heads;
+}
+
 StatusOr<VersionInfo> ForkBase::Meta(const Hash256& uid) const {
   FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(store_.get(), uid));
   VersionInfo info;
@@ -454,6 +475,12 @@ Status ForkBase::BranchFromVersion(const std::string& key,
                                    const std::string& new_branch,
                                    const Hash256& uid) {
   auto lease = AcquireWriteLease();
+  return BranchFromVersionLeased(key, new_branch, uid);
+}
+
+Status ForkBase::BranchFromVersionLeased(const std::string& key,
+                                         const std::string& new_branch,
+                                         const Hash256& uid) {
   if (branch_table_.Exists(key, new_branch)) {
     return Status::AlreadyExists("branch " + new_branch + " of key " + key);
   }
@@ -461,6 +488,14 @@ Status ForkBase::BranchFromVersion(const std::string& key,
   if (node.key != key) {
     return Status::InvalidArgument("version belongs to key " + node.key);
   }
+  // The key's other heads are trusted: forking from their history loads
+  // no tree node, and a version from elsewhere loads what it adds.
+  std::vector<Hash256> trusted;
+  for (const auto& [branch, head] : branch_table_.Heads(key)) {
+    (void)branch;
+    trusted.push_back(head);
+  }
+  FB_RETURN_IF_ERROR(CheckClosure(*store_, uid, trusted).status());
   if (gc_sweep_active()) {
     FB_RETURN_IF_ERROR(PinReachableForSweep(store_.get(), uid));
   }

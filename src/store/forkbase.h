@@ -257,10 +257,15 @@ class ForkBase {
 
   /// Moves (key, branch) forward to the existing version `uid` — the one
   /// way a sync or bundle import publishes a head. Creates the branch if
-  /// absent. Returns true when the head moved (or was created), false when
-  /// it already equals `uid`; kMergeConflict when the branch has commits
-  /// `uid` does not include (it is never overwritten). Retries a bounded
-  /// number of times when a concurrent commit moves the head mid-check.
+  /// absent (through BranchFromVersion). Returns true when the head moved
+  /// (or was created), false when it already equals `uid`; kMergeConflict
+  /// when the branch has commits `uid` does not include (it is never
+  /// overwritten). One MarkDelta walk from `uid` against the current head,
+  /// under the write lease and before the compare-and-set, is both the
+  /// fast-forward test and the closure check: a `uid` whose closure is
+  /// missing a chunk the head does not hold fails with that chunk's
+  /// kNotFound and the head stays put. Retries a bounded number of times
+  /// when a concurrent commit moves the head mid-check.
   StatusOr<bool> FastForward(const std::string& key, const std::string& branch,
                              const Hash256& uid);
 
@@ -334,6 +339,10 @@ class ForkBase {
       const std::string& key) const;
   /// True iff `uid` is the head of some branch of `key`.
   bool IsBranchHead(const std::string& key, const Hash256& uid) const;
+  /// Every branch head of every key one of the versions `uids` belongs to:
+  /// the heads a closure check of those versions may trust. Uids that do
+  /// not load as versions contribute nothing.
+  std::vector<Hash256> HeadsOfKeysOf(const std::vector<Hash256>& uids) const;
 
   /// Version metadata (the demo's Meta view).
   StatusOr<VersionInfo> Meta(const Hash256& uid) const;
@@ -349,7 +358,9 @@ class ForkBase {
   Status Branch(const std::string& key, const std::string& new_branch,
                 const std::string& from_branch = kDefaultBranch);
   /// Creates `new_branch` at an explicit version. kAlreadyExists if the
-  /// branch exists; of racing creators exactly one succeeds.
+  /// branch exists; of racing creators exactly one succeeds. The version's
+  /// closure is checked first (MarkDelta against the key's other branch
+  /// heads), so a version whose closure is incomplete is never published.
   Status BranchFromVersion(const std::string& key,
                            const std::string& new_branch, const Hash256& uid);
   Status RenameBranch(const std::string& key, const std::string& from,
@@ -485,6 +496,10 @@ class ForkBase {
                            const std::string& branch, const PutMeta& meta,
                            std::optional<Hash256> expected_head = {});
   Status VerifyValue(const Value& value) const;
+  /// BranchFromVersion's body, for callers that hold the write lease.
+  Status BranchFromVersionLeased(const std::string& key,
+                                 const std::string& new_branch,
+                                 const Hash256& uid);
 
   std::shared_ptr<ChunkStore> store_;
   /// Set by Open for tiered stacks; aliases a layer inside store_'s

@@ -80,10 +80,9 @@ struct GcStats {
 /// tables pull in header + row tree. Unknown root ids are an error.
 ///
 /// `exclude` (optional) prunes the walk: ids in the set are neither
-/// loaded, expanded nor returned — the frontier stops at them. This is the
-/// delta-closure primitive behind bundle sync: marking `want` heads with
-/// the `have` closure excluded yields exactly the chunks the receiver is
-/// missing. Roots that are themselves excluded are skipped, not errors.
+/// loaded, expanded nor returned — the frontier stops at them (the sweep's
+/// re-mark of changed heads against the known live set). Roots that are
+/// themselves excluded are skipped, not errors.
 ///
 /// `visit` (optional) is called exactly once per returned chunk, with the
 /// loaded bytes, during the walk — so a caller that needs the live chunks'
@@ -92,6 +91,44 @@ StatusOr<std::unordered_set<Hash256, Hash256Hasher>> MarkLive(
     const ChunkStore& store, const std::vector<Hash256>& roots,
     const std::unordered_set<Hash256, Hash256Hasher>* exclude = nullptr,
     const std::function<Status(const Chunk&)>& visit = nullptr);
+
+/// Result of MarkDelta.
+struct DeltaClosure {
+  /// Chunks reachable from `want` that the walk could not prove reachable
+  /// from `have`, each once. Every one was loaded, so a successful walk
+  /// is also a presence check of the delta.
+  std::vector<Hash256> ids;
+  /// `have` heads the walk reached; each is an ancestor of (or equal to)
+  /// some `want` head. A single `have` head is reported exactly when it
+  /// is such an ancestor: FastForward's test.
+  std::vector<Hash256> reached;
+};
+
+/// The delta-closure walk behind sync, bundle import and fast-forward:
+/// `ids` contains closure(want) − closure(have) and lies within
+/// closure(want). It costs what the delta costs, not what the history
+/// holds:
+///
+///   * FNodes are visited newest first (by logical time, which exceeds
+///     every base's) from both sides. The `want` side stops at versions
+///     the `have` side has reached, and the `have` side advances only
+///     while a `want` version is still unresolved.
+///   * Each new version's value tree is walked paired with the trees of
+///     its bases that `have` holds, aligned by distance from the leaves
+///     like DiffKeyed: a subtree whose id appears on the base side at the
+///     same level is pruned, and only base nodes that differ are expanded.
+///     Trees of new bases are walked first, and their ids prune later
+///     versions the same way. A one-key edit loads O(height) nodes.
+///
+/// `have` versions are trusted to have complete closures (a receiver's
+/// branch heads); their chunks are never re-checked. Ids absent from the
+/// store, non-FNodes and versions of keys no `want` version belongs to
+/// are ignored (history never crosses keys). `want` ids must resolve;
+/// a non-FNode `want` id is walked as a tree. With nothing trusted the
+/// walk loads each chunk of closure(want) once, like MarkLive.
+StatusOr<DeltaClosure> MarkDelta(const ChunkStore& store,
+                                 const std::vector<Hash256>& want,
+                                 const std::vector<Hash256>& have);
 
 /// Adds to `live` every chunk some member of `live` PHYSICALLY depends on:
 /// delta-encoded stores resolve a chain-resident chunk through its base

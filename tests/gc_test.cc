@@ -14,6 +14,8 @@
 #include "chunk/tiered_chunk_store.h"
 #include "postree/cursor.h"
 #include "store/gc.h"
+#include "types/blob.h"
+#include "types/list.h"
 #include "util/datagen.h"
 #include "util/random.h"
 
@@ -50,6 +52,265 @@ TEST(GcTest, MarkLiveCoversValueTreeAndHistory) {
 TEST(GcTest, MarkLiveFailsOnMissingRoot) {
   MemChunkStore store;
   EXPECT_FALSE(MarkLive(store, {Sha256(Slice("ghost"))}).ok());
+}
+
+// ---- MarkDelta against the closure-difference oracle --------------------
+
+using IdSet = std::unordered_set<Hash256, Hash256Hasher>;
+
+IdSet Closure(const ChunkStore& store, const std::vector<Hash256>& roots) {
+  auto live = MarkLive(store, roots);
+  EXPECT_TRUE(live.ok()) << live.status().ToString();
+  return live.ok() ? *live : IdSet{};
+}
+
+// Checks closure(want) − closure(have) ⊆ ids ⊆ closure(want), that no id
+// repeats, and that `reached` holds only `have` heads in want's history
+// (every one of them when there is a single `have` head).
+void ExpectDeltaWithinBounds(const ChunkStore& store,
+                             const std::vector<Hash256>& want,
+                             const std::vector<Hash256>& have) {
+  auto delta = MarkDelta(store, want, have);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  const IdSet want_closure = Closure(store, want);
+  const IdSet have_closure = Closure(store, have);
+  const IdSet ids(delta->ids.begin(), delta->ids.end());
+  EXPECT_EQ(ids.size(), delta->ids.size()) << "an id was returned twice";
+  for (const Hash256& id : ids) {
+    ASSERT_TRUE(want_closure.count(id)) << "outside closure(want)";
+  }
+  for (const Hash256& id : want_closure) {
+    if (!have_closure.count(id)) {
+      ASSERT_TRUE(ids.count(id)) << "missed " << id.ToBase32();
+    }
+  }
+  const IdSet have_set(have.begin(), have.end());
+  for (const Hash256& h : delta->reached) {
+    EXPECT_TRUE(have_set.count(h));
+    EXPECT_TRUE(want_closure.count(h)) << "reached a head want lacks";
+  }
+  if (have.size() == 1) {
+    auto node = FNode::Load(&store, have[0]);
+    bool same_key = false;
+    for (const Hash256& w : want) {
+      auto wn = FNode::Load(&store, w);
+      same_key |= node.ok() && wn.ok() && wn->key == node->key;
+    }
+    if (same_key) {
+      EXPECT_EQ(delta->reached.size(), want_closure.count(have[0]));
+    }
+  }
+}
+
+uint32_t HeightOf(const ForkBase& db, const std::string& key,
+                  const std::string& branch) {
+  auto stat = db.StatObject(key, branch);
+  return stat.ok() ? stat->shape.height : 0;
+}
+
+TEST(MarkDeltaTest, RandomizedDifferentialAgainstClosureDifference) {
+  const std::vector<std::string> kKeys = {"map", "list", "blob", "table"};
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto store = std::make_shared<MemChunkStore>();
+    ForkBase db(store);
+    Rng rng(seed);
+    std::map<std::string, std::vector<Hash256>> versions;
+    std::map<std::string, std::vector<std::string>> branches;
+    auto record = [&](const std::string& key, StatusOr<Hash256> uid) {
+      ASSERT_TRUE(uid.ok()) << uid.status().ToString();
+      versions[key].push_back(*uid);
+    };
+
+    std::vector<std::pair<std::string, std::string>> kvs;
+    for (int i = 0; i < 1500; ++i) {
+      kvs.emplace_back("k" + std::to_string(rng.Uniform(1000000)),
+                       rng.NextBytes(8 + rng.Uniform(48)));
+    }
+    record("map", db.PutMap("map", kvs));
+    std::vector<std::string> elements;
+    for (int i = 0; i < 1500; ++i) elements.push_back(rng.NextBytes(24));
+    record("list", db.PutList("list", elements));
+    record("blob", db.PutBlob("blob", rng.NextBytes(96 << 10)));
+    CsvGenOptions csv;
+    csv.seed = seed;
+    csv.num_rows = 600;
+    CsvDocument doc = GenerateCsv(csv);
+    record("table", db.PutTableFromCsv("table", doc));
+    for (const auto& key : kKeys) branches[key] = {"master"};
+
+    bool height_changed = false;
+    for (int step = 0; step < 48; ++step) {
+      const std::string& key = kKeys[rng.Uniform(kKeys.size())];
+      auto& key_branches = branches[key];
+      const std::string branch = key_branches[rng.Uniform(key_branches.size())];
+      const uint32_t before = HeightOf(db, key, branch);
+      const uint64_t action = rng.Uniform(10);
+      if (action == 0) {
+        // Fork from an old version of the key.
+        const auto& vs = versions[key];
+        const std::string name = "b" + std::to_string(step);
+        ASSERT_TRUE(
+            db.BranchFromVersion(key, name, vs[rng.Uniform(vs.size())]).ok());
+        key_branches.push_back(name);
+        continue;
+      }
+      if (action == 1 && key_branches.size() > 1 &&
+          (key == "map" || key == "table")) {
+        const std::string other =
+            key_branches[rng.Uniform(key_branches.size())];
+        if (other == branch) continue;
+        auto merged =
+            db.Merge(key, branch, other, MergePolicy::kPreferLeft);
+        if (merged.ok()) versions[key].push_back(*merged);
+        continue;
+      }
+      // An edit batch: usually small, sometimes big enough to add or
+      // remove a tree level.
+      const bool big = rng.Uniform(4) == 0;
+      if (key == "map") {
+        auto map = db.GetMap("map", branch);
+        ASSERT_TRUE(map.ok());
+        auto entries = map->Entries();
+        ASSERT_TRUE(entries.ok());
+        std::vector<KeyedOp> ops;
+        if (big && entries->size() > 1000) {
+          for (size_t i = 0; i < entries->size(); ++i) {
+            if (rng.Uniform(10) != 0) ops.push_back({(*entries)[i].first, {}});
+          }
+        } else {
+          const int n = big ? 6000 : 1 + static_cast<int>(rng.Uniform(6));
+          for (int i = 0; i < n; ++i) {
+            ops.push_back({"k" + std::to_string(rng.Uniform(1000000)),
+                           rng.NextBytes(8 + rng.Uniform(48))});
+          }
+        }
+        record(key, db.UpdateMap("map", std::move(ops), branch));
+      } else if (key == "list" || key == "blob") {
+        auto value = db.Get(key, branch);
+        ASSERT_TRUE(value.ok());
+        Value next;
+        if (key == "list") {
+          FList list = FList::Attach(store.get(), value->root());
+          auto size = list.Size();
+          ASSERT_TRUE(size.ok());
+          const uint64_t at = rng.Uniform(*size + 1);
+          uint64_t remove = std::min<uint64_t>(*size - at, rng.Uniform(3));
+          std::vector<std::string> inserts(1 + rng.Uniform(3));
+          if (big) {
+            if (*size > 2000) {
+              remove = *size - at;
+            } else {
+              inserts.resize(4000);
+            }
+          }
+          for (auto& e : inserts) e = rng.NextBytes(24);
+          auto spliced = list.Splice(at, remove, inserts);
+          ASSERT_TRUE(spliced.ok());
+          next = Value::OfList(spliced->root());
+        } else {
+          FBlob blob = FBlob::Attach(store.get(), value->root());
+          auto size = blob.Size();
+          ASSERT_TRUE(size.ok());
+          const uint64_t at = rng.Uniform(*size + 1);
+          const uint64_t remove = big ? (*size - at) / 2
+                                      : std::min<uint64_t>(*size - at, 64);
+          auto spliced = blob.Splice(
+              at, remove, rng.NextBytes(big ? (256 << 10) : 100));
+          ASSERT_TRUE(spliced.ok());
+          next = Value::OfBlob(spliced->root());
+        }
+        record(key, db.Put(key, next, branch));
+      } else {
+        auto table = db.GetTable("table", branch);
+        ASSERT_TRUE(table.ok());
+        const auto& row = doc.rows[rng.Uniform(doc.rows.size())];
+        record(key, db.UpdateTableCell("table", Slice(row[0]), 1,
+                                       rng.NextBytes(12), branch));
+      }
+      height_changed |= HeightOf(db, key, branch) != before;
+    }
+    EXPECT_TRUE(height_changed) << "no edit batch changed a tree's height";
+
+    std::vector<Hash256> all;
+    for (const auto& [key, vs] : versions) {
+      all.insert(all.end(), vs.begin(), vs.end());
+    }
+    for (int query = 0; query < 40; ++query) {
+      std::vector<Hash256> want(1 + rng.Uniform(2));
+      for (auto& w : want) w = all[rng.Uniform(all.size())];
+      std::vector<Hash256> have(rng.Uniform(4));
+      for (auto& h : have) h = all[rng.Uniform(all.size())];
+      ExpectDeltaWithinBounds(*store, want, have);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Branch heads against each other, and each against its key's first
+    // version: the sync-shaped queries.
+    for (const auto& key : kKeys) {
+      auto heads = db.Latest(key);
+      ASSERT_TRUE(heads.ok());
+      for (const auto& [branch, head] : *heads) {
+        (void)branch;
+        ExpectDeltaWithinBounds(*store, {head}, {versions[key].front()});
+        for (const auto& [other_branch, other] : *heads) {
+          (void)other_branch;
+          ExpectDeltaWithinBounds(*store, {head}, {other});
+        }
+      }
+    }
+  }
+}
+
+TEST(MarkDeltaTest, NothingTrustedIsTheWholeClosure) {
+  auto store = std::make_shared<MemChunkStore>();
+  ForkBase db(store);
+  CsvGenOptions opts;
+  opts.num_rows = 400;
+  ASSERT_TRUE(db.PutTableFromCsv("t", GenerateCsv(opts)).ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(db.UpdateTableCell("t", Slice(GenerateCsv(opts).rows[i][0]),
+                                   2, "edit" + std::to_string(i))
+                    .ok());
+  }
+  const Hash256 head = *db.Head("t");
+  auto table = db.GetTable("t");
+  ASSERT_TRUE(table.ok());
+  for (const Hash256& root : {head, table->id()}) {
+    auto delta = MarkDelta(*store, {root}, {});
+    ASSERT_TRUE(delta.ok());
+    const IdSet ids(delta->ids.begin(), delta->ids.end());
+    EXPECT_EQ(ids, Closure(*store, {root}));
+    EXPECT_EQ(ids.size(), delta->ids.size());
+  }
+  EXPECT_FALSE(MarkDelta(*store, {Sha256(Slice("ghost"))}, {}).ok());
+}
+
+TEST(MarkDeltaTest, OneKeyEditLoadsAPathNotTheHistory) {
+  auto store = std::make_shared<MemChunkStore>();
+  ForkBase db(store);
+  Rng rng(5);
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (int i = 0; i < 20000; ++i) {
+    kvs.emplace_back("key" + std::to_string(i), rng.NextBytes(40));
+  }
+  ASSERT_TRUE(db.PutMap("m", kvs).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(db.UpdateMap("m", {{"key" + std::to_string(rng.Uniform(20000)),
+                                    rng.NextBytes(40)}})
+                    .ok());
+  }
+  const Hash256 prev = *db.Head("m");
+  ASSERT_TRUE(db.UpdateMap("m", {{"key77", "changed"}}).ok());
+  const Hash256 head = *db.Head("m");
+  const uint64_t gets_before = store->stats().get_calls;
+  auto delta = MarkDelta(*store, {head}, {prev});
+  ASSERT_TRUE(delta.ok());
+  const uint64_t gets = store->stats().get_calls - gets_before;
+  const uint32_t height = HeightOf(db, "m", "master");
+  EXPECT_EQ(delta->reached, std::vector<Hash256>{prev});
+  // The new FNode plus one new node per level.
+  EXPECT_EQ(delta->ids.size(), 1u + height);
+  EXPECT_LE(gets, 6u * height + 2) << "loaded more than a few paths";
 }
 
 TEST(GcTest, NoGarbageWhileEverythingReferenced) {

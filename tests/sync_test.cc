@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -15,8 +17,11 @@
 #include "net/server.h"
 #include "net/sync.h"
 #include "net/transport.h"
+#include "store/bundle.h"
 #include "store/forkbase.h"
+#include "store/gc.h"
 #include "util/fault_schedule.h"
+#include "util/random.h"
 
 namespace forkbase {
 namespace {
@@ -162,6 +167,216 @@ TEST(SyncTest, DivergedBranchConflictsWithoutClobbering) {
   ASSERT_TRUE(pull.ok());
   EXPECT_EQ(pull->branches_conflicted, 1u);
   ASSERT_TRUE(a.Head("doc").ok());
+  (*server)->Stop();
+}
+
+// ---- closure checks on the receiving side --------------------------------
+
+std::vector<std::pair<std::string, std::string>> MapEntries(int n,
+                                                            uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (int i = 0; i < n; ++i) {
+    kvs.emplace_back("key" + std::to_string(i), rng.NextBytes(32));
+  }
+  return kvs;
+}
+
+// Uploads exactly `ids` from `store` as one bundle under `head` and returns
+// BUNDLE_END's outcome.
+Status UploadIds(ForkBaseClient* client, const ChunkStore& store,
+                 const Hash256& head, const std::vector<Hash256>& ids) {
+  std::string bundle;
+  auto exported = ExportBundleOfIds(store, {head}, ids, [&](Slice bytes) {
+    bundle.append(bytes.data(), bytes.size());
+    return Status::OK();
+  });
+  if (!exported.ok()) return exported.status();
+  FB_RETURN_IF_ERROR(client->BeginBundle());
+  FB_RETURN_IF_ERROR(client->SendBundlePart(Slice(bundle)));
+  return client->EndBundle().status();
+}
+
+TEST(SyncTest, IncompleteClosureIsNeverPublished) {
+  // The closure of a 3,000-key map minus one leaf: BUNDLE_END refuses it,
+  // and so must UPDATE_HEAD — the chunks that did land stay in the store
+  // (a torn push resumes from them), so the head would otherwise dangle.
+  auto a_store = std::make_shared<MemChunkStore>();
+  ForkBase a(a_store);
+  ASSERT_TRUE(a.PutMap("big", MapEntries(3000, 1)).ok());
+  const Hash256 head = *a.Head("big");
+  auto closure = MarkLive(*a_store, {head});
+  ASSERT_TRUE(closure.ok());
+  std::vector<Hash256> ids;
+  bool dropped = false;
+  for (const Hash256& id : *closure) {
+    auto chunk = a_store->Get(id);
+    ASSERT_TRUE(chunk.ok());
+    if (!dropped && chunk->type() == ChunkType::kMapLeaf) {
+      dropped = true;
+      continue;
+    }
+    ids.push_back(id);
+  }
+  ASSERT_TRUE(dropped);
+
+  ForkBase b(std::make_shared<MemChunkStore>());
+  auto server = ForkBaseServer::Start(&b, TestAddress("incomplete"));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = ForkBaseClient::Connect((*server)->address());
+  ASSERT_TRUE(client.ok());
+  Status ended = UploadIds(&*client, *a_store, head, ids);
+  EXPECT_FALSE(ended.ok());
+  EXPECT_NE(ended.message().find("closure incomplete"), std::string::npos)
+      << ended.ToString();
+  EXPECT_FALSE(client->UpdateHead("big", "master", head).ok());
+  EXPECT_FALSE(b.Head("big").ok()) << "a head with a hole was published";
+
+  // Same for a branch that already exists on the server: its head stays.
+  ASSERT_TRUE(SyncPush(&a, &*client).ok());
+  ASSERT_TRUE(a.UpdateMap("big", {{"key7", "edited"}}).ok());
+  const Hash256 next = *a.Head("big");
+  auto delta = MarkDelta(*a_store, {next}, {head});
+  ASSERT_TRUE(delta.ok());
+  // Ship the new FNode and all but one of the new tree nodes.
+  std::vector<Hash256> partial = delta->ids;
+  auto tree_node = std::find_if(partial.begin(), partial.end(),
+                                [&](const Hash256& id) { return id != next; });
+  ASSERT_NE(tree_node, partial.end());
+  partial.erase(tree_node);
+  EXPECT_FALSE(UploadIds(&*client, *a_store, next, partial).ok());
+  EXPECT_FALSE(client->UpdateHead("big", "master", next).ok());
+  EXPECT_EQ(*b.Head("big"), head);
+  EXPECT_TRUE(b.Verify(head).ok());
+  (*server)->Stop();
+}
+
+TEST(SyncTest, EveryDroppedDeltaChunkFailsBundleEndAndUpdateHead) {
+  auto a_store = std::make_shared<MemChunkStore>();
+  ForkBase a(a_store);
+  ASSERT_TRUE(a.PutMap("m", MapEntries(5000, 2)).ok());
+  const Hash256 base = *a.Head("m");
+  ASSERT_TRUE(a.UpdateMap("m", {{"key4242", "edited"}}).ok());
+  const Hash256 head = *a.Head("m");
+  // The exact delta (the closure-difference oracle) is what the push
+  // ships; MarkDelta finds that set and no more for a one-key edit.
+  auto want = MarkLive(*a_store, {head});
+  auto have = MarkLive(*a_store, {base});
+  ASSERT_TRUE(want.ok() && have.ok());
+  std::vector<Hash256> exact;
+  for (const Hash256& id : *want) {
+    if (!have->count(id)) exact.push_back(id);
+  }
+  auto delta = MarkDelta(*a_store, {head}, {base});
+  ASSERT_TRUE(delta.ok());
+  using IdSet = std::unordered_set<Hash256, Hash256Hasher>;
+  EXPECT_EQ(IdSet(delta->ids.begin(), delta->ids.end()),
+            IdSet(exact.begin(), exact.end()));
+  ASSERT_GE(exact.size(), 3u);
+
+  for (size_t drop = 0; drop < exact.size(); ++drop) {
+    SCOPED_TRACE("dropping chunk " + std::to_string(drop));
+    ForkBase b(std::make_shared<MemChunkStore>());
+    auto server =
+        ForkBaseServer::Start(&b, TestAddress("drop" + std::to_string(drop)));
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto client = ForkBaseClient::Connect((*server)->address());
+    ASSERT_TRUE(client.ok());
+    // The server holds `base`, published through a complete push.
+    auto seed = UploadIds(&*client, *a_store, base, [&] {
+      return std::vector<Hash256>(have->begin(), have->end());
+    }());
+    ASSERT_TRUE(seed.ok()) << seed.ToString();
+    ASSERT_TRUE(client->UpdateHead("m", "master", base).ok());
+
+    std::vector<Hash256> ids = exact;
+    ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(drop));
+    EXPECT_FALSE(UploadIds(&*client, *a_store, head, ids).ok());
+    EXPECT_FALSE(client->UpdateHead("m", "master", head).ok());
+    EXPECT_EQ(*b.Head("m"), base);
+    (*server)->Stop();
+  }
+}
+
+// Counts chunk reads (single and batched) on top of a memory store.
+class CountingChunkStore : public ChunkStore {
+ public:
+  StatusOr<Chunk> Get(const Hash256& id) const override {
+    ++gets;
+    return base_.Get(id);
+  }
+  std::vector<StatusOr<Chunk>> GetMany(
+      std::span<const Hash256> ids) const override {
+    gets += ids.size();
+    return base_.GetMany(ids);
+  }
+  bool Contains(const Hash256& id) const override {
+    return base_.Contains(id);
+  }
+  ChunkStoreStats stats() const override { return base_.stats(); }
+  void ForEach(const std::function<void(const Hash256&, const Chunk&)>& fn)
+      const override {
+    base_.ForEach(fn);
+  }
+
+  mutable std::atomic<uint64_t> gets{0};
+
+ protected:
+  Status PutImpl(const Chunk& chunk) override { return base_.Put(chunk); }
+  Status PutManyImpl(std::span<const Chunk> chunks) override {
+    return base_.PutMany(chunks);
+  }
+
+ private:
+  MemChunkStore base_;
+};
+
+TEST(SyncTest, PushCostIsIndependentOfHistoryLength) {
+  // A one-key update pushed after 10 and after 300 versions reads a few
+  // tree paths on each end, not the history: the same bound holds for
+  // both. (Walking whole closures reads thousands of chunks here.)
+  auto a_store = std::make_shared<CountingChunkStore>();
+  auto b_store = std::make_shared<CountingChunkStore>();
+  ForkBase a(a_store);
+  ForkBase b(b_store);
+  auto server = ForkBaseServer::Start(&b, TestAddress("cost"));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = ForkBaseClient::Connect((*server)->address());
+  ASSERT_TRUE(client.ok());
+
+  ASSERT_TRUE(a.PutMap("m", MapEntries(12000, 3)).ok());
+  auto stat = a.StatObject("m");
+  ASSERT_TRUE(stat.ok());
+  const uint64_t height = stat->shape.height;
+  ASSERT_GE(height, 2u);
+  const uint64_t bound = 8 * height;
+
+  Rng rng(3);
+  int versions = 1;
+  for (const int target : {10, 300}) {
+    while (versions < target - 1) {
+      ASSERT_TRUE(a.UpdateMap("m", {{"key" + std::to_string(rng.Uniform(12000)),
+                                     rng.NextBytes(32)}})
+                      .ok());
+      ++versions;
+    }
+    ASSERT_TRUE(SyncPush(&a, &*client).ok());
+    ASSERT_TRUE(a.UpdateMap("m", {{"key" + std::to_string(rng.Uniform(12000)),
+                                   rng.NextBytes(32)}})
+                    .ok());
+    ++versions;
+    a_store->gets = 0;
+    b_store->gets = 0;
+    auto pushed = SyncPush(&a, &*client);
+    ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+    EXPECT_EQ(pushed->branches_updated, 1u);
+    EXPECT_EQ(pushed->chunks_sent, 1 + height) << "the FNode and one path";
+    SCOPED_TRACE("after " + std::to_string(versions) + " versions");
+    EXPECT_LE(a_store->gets.load(), bound);
+    EXPECT_LE(b_store->gets.load(), bound);
+  }
+  EXPECT_EQ(*b.Head("m"), *a.Head("m"));
+  EXPECT_TRUE(b.Verify(*b.Head("m")).ok());
   (*server)->Stop();
 }
 
