@@ -25,6 +25,7 @@
 #include "store/bundle.h"
 #include "store/forkbase.h"
 #include "store/gc.h"
+#include "util/datagen.h"
 #include "util/rolling_hash.h"
 #include "util/sha256.h"
 #include "util/worker_pool.h"
@@ -471,6 +472,87 @@ void BM_FileStoreGetBatched(benchmark::State& state) {
                           static_cast<int64_t>(batch));
 }
 BENCHMARK(BM_FileStoreGetBatched)->Arg(64)->Arg(256);
+
+// ---- put-csv: parse, fresh table build, re-import splice ----------------
+//
+// The put-csv path on a generated 2 MiB CSV (~14k rows), the shape of the
+// dataset_versions workload, on the default Open stack. Fresh loads the
+// document under a new key each iteration: a full build, mostly dedup hits.
+// Reimport8 re-commits it over its own head with 8 newly edited cells: the
+// splice. ReimportAll alternates between two stored versions that differ
+// in every row: the dense case, where the splice gives way to a fresh
+// build, so it must cost about what Fresh does. Real time, since puts hash
+// on a worker pool, and medians of five repetitions.
+
+CsvDocument IngestCsv() {
+  CsvGenOptions opts;
+  opts.seed = 42;
+  opts.target_bytes = 2 << 20;
+  return GenerateCsv(opts);
+}
+
+void BM_ParseCsv(benchmark::State& state) {
+  const std::string text = WriteCsv(IngestCsv());
+  for (auto _ : state) {
+    auto doc = ParseCsv(text);
+    benchmark::DoNotOptimize(doc.ok());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseCsv);
+
+enum class CsvImport { kFresh, kReimport8, kReimportAll };
+
+void BM_PutTableFromCsv(benchmark::State& state, CsvImport mode) {
+  ScopedStoreDir dir("put_csv");
+  auto db = ForkBase::Open(dir.path(), ForkBase::Config{});
+  if (!db.ok()) {
+    state.SkipWithError(db.status().ToString().c_str());
+    return;
+  }
+  CsvDocument doc = IngestCsv();
+  CsvDocument other = doc;  // differs from doc in every row
+  for (auto& row : other.rows) row[1] += "*";
+  const size_t bytes = WriteCsv(doc).size();
+  bool ok = (*db)->PutTableFromCsv("t", doc).ok();
+  if (mode == CsvImport::kReimportAll) {
+    ok = ok && (*db)->PutTableFromCsv("t", other).ok();
+  }
+  Rng rng(23);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    StatusOr<Hash256> uid = Status::OK();
+    if (mode == CsvImport::kReimportAll) {
+      uid = (*db)->PutTableFromCsv("t", i % 2 == 0 ? doc : other);
+    } else {
+      for (int e = 0; e < 8; ++e) {
+        auto& row = doc.rows[rng.Uniform(doc.rows.size())];
+        row[1 + rng.Uniform(row.size() - 1)] =
+            std::string("edited") + std::to_string(i);
+      }
+      const std::string key = mode == CsvImport::kFresh
+                                  ? std::string("fresh") + std::to_string(i)
+                                  : std::string("t");
+      uid = (*db)->PutTableFromCsv(key, doc);
+    }
+    benchmark::DoNotOptimize(uid.ok());
+    ok = ok && uid.ok();
+    ++i;
+  }
+  if (!ok) state.SkipWithError("PutTableFromCsv failed");
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK_CAPTURE(BM_PutTableFromCsv, Fresh, CsvImport::kFresh)
+    ->UseRealTime()
+    ->Repetitions(5);
+BENCHMARK_CAPTURE(BM_PutTableFromCsv, Reimport8, CsvImport::kReimport8)
+    ->UseRealTime()
+    ->Repetitions(5);
+BENCHMARK_CAPTURE(BM_PutTableFromCsv, ReimportAll, CsvImport::kReimportAll)
+    ->UseRealTime()
+    ->Repetitions(5);
 
 // ---- async prefetch: double-buffered scans ------------------------------
 //

@@ -7,16 +7,24 @@ bool IsLeafType(ChunkType t) {
          t == ChunkType::kListLeaf || t == ChunkType::kBlobLeaf;
 }
 
+void AppendMapEntry(std::string* out, Slice key, Slice value) {
+  PutLengthPrefixed(out, key);
+  PutLengthPrefixed(out, value);
+}
+
 std::string EncodeMapEntry(Slice key, Slice value) {
   std::string out;
-  PutLengthPrefixed(&out, key);
-  PutLengthPrefixed(&out, value);
+  AppendMapEntry(&out, key, value);
   return out;
+}
+
+void AppendSetEntry(std::string* out, Slice key) {
+  PutLengthPrefixed(out, key);
 }
 
 std::string EncodeSetEntry(Slice key) {
   std::string out;
-  PutLengthPrefixed(&out, key);
+  AppendSetEntry(&out, key);
   return out;
 }
 

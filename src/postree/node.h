@@ -41,8 +41,11 @@ struct IndexEntry {
 
 /// Serializes a map entry (len-prefixed key, len-prefixed value).
 std::string EncodeMapEntry(Slice key, Slice value);
+/// Appends the same bytes to `out`: bulk builds reuse one buffer.
+void AppendMapEntry(std::string* out, Slice key, Slice value);
 /// Serializes a set entry (len-prefixed key).
 std::string EncodeSetEntry(Slice key);
+void AppendSetEntry(std::string* out, Slice key);
 /// Serializes a list entry (len-prefixed element).
 std::string EncodeListEntry(Slice element);
 /// Serializes an index entry.

@@ -16,10 +16,14 @@ StatusOr<TreeInfo> PosTree::BuildKeyed(
     return Status::InvalidArgument("BuildKeyed requires a keyed leaf type");
   }
   TreeBuilder builder(store, leaf_type, config);
+  std::string entry;
   for (const auto& [key, value] : sorted_kvs) {
-    std::string entry = leaf_type == ChunkType::kMapLeaf
-                            ? EncodeMapEntry(key, value)
-                            : EncodeSetEntry(key);
+    entry.clear();
+    if (leaf_type == ChunkType::kMapLeaf) {
+      AppendMapEntry(&entry, key, value);
+    } else {
+      AppendSetEntry(&entry, key);
+    }
     FB_RETURN_IF_ERROR(builder.AddEntry(entry, key));
   }
   return builder.Finish();

@@ -298,9 +298,26 @@ StatusOr<Hash256> ForkBase::PutTableFromCsv(const std::string& key,
                                             const std::string& branch,
                                             const PutMeta& meta) {
   auto lease = AcquireWriteLease();
-  FB_ASSIGN_OR_RETURN(FTable table,
-                      FTable::FromCsv(store_.get(), doc, key_column));
-  return PutLeased(key, Value::OfTable(table.id()), branch, meta);
+  // A re-import over a table head with the same schema is spliced against
+  // it, so it writes only what changed; either way the table is the one a
+  // fresh load of `doc` gives.
+  std::optional<FTable> head;
+  auto head_uid = branch_table_.Head(key, branch);
+  if (head_uid.ok()) {
+    FB_ASSIGN_OR_RETURN(FNode node, FNode::Load(store_.get(), *head_uid));
+    if (node.value.type() == ValueType::kTable) {
+      FB_ASSIGN_OR_RETURN(head,
+                          FTable::Attach(store_.get(), node.value.root()));
+    }
+  } else if (head_uid.status().code() != StatusCode::kNotFound) {
+    return head_uid.status();
+  }
+  auto table = head && head->columns() == doc.header &&
+                       head->key_column() == key_column
+                   ? head->ReplaceRows(doc.rows)
+                   : FTable::FromCsv(store_.get(), doc, key_column);
+  if (!table.ok()) return table.status();
+  return PutLeased(key, Value::OfTable(table->id()), branch, meta);
 }
 
 StatusOr<Hash256> ForkBase::UpdateMap(const std::string& key,

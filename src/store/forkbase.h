@@ -286,7 +286,9 @@ class ForkBase {
                             const std::vector<std::string>& elements,
                             const std::string& branch = kDefaultBranch,
                             const PutMeta& meta = PutMeta{});
-  /// Loads a CSV document as a table object (the demo's dataset load).
+  /// Loads a CSV document as a table object (the demo's dataset load). A
+  /// re-import over a table head with the same schema splices the rows that
+  /// differ into it (FTable::ReplaceRows): same table as a fresh load.
   StatusOr<Hash256> PutTableFromCsv(const std::string& key,
                                     const CsvDocument& doc,
                                     size_t key_column = 0,

@@ -9,15 +9,17 @@ StatusOr<FMap> FMap::Create(
   std::stable_sort(kvs.begin(), kvs.end(), [](const auto& a, const auto& b) {
     return a.first < b.first;
   });
-  // last-wins dedup
-  std::vector<std::pair<std::string, std::string>> unique;
-  unique.reserve(kvs.size());
+  // Last-wins dedup in place: the survivor of a run of equal keys is its
+  // last pair, and the write index never passes the read index.
+  size_t kept = 0;
   for (size_t i = 0; i < kvs.size(); ++i) {
     if (i + 1 < kvs.size() && kvs[i + 1].first == kvs[i].first) continue;
-    unique.push_back(std::move(kvs[i]));
+    if (kept != i) kvs[kept] = std::move(kvs[i]);
+    ++kept;
   }
+  kvs.resize(kept);
   FB_ASSIGN_OR_RETURN(TreeInfo info, PosTree::BuildKeyed(
-                                         store, ChunkType::kMapLeaf, unique));
+                                         store, ChunkType::kMapLeaf, kvs));
   return FMap(PosTree(store, ChunkType::kMapLeaf, info.root));
 }
 

@@ -30,7 +30,8 @@ struct RowDelta {
 class FTable {
  public:
   /// Builds a table from a schema and rows. `key_column` cells must be
-  /// unique; they become the primary keys.
+  /// unique; they become the primary keys. Rows may come in any order;
+  /// already ascending keys skip the sort.
   static StatusOr<FTable> Create(ChunkStore* store,
                                  std::vector<std::string> columns,
                                  const std::vector<std::vector<std::string>>& rows,
@@ -54,6 +55,15 @@ class FTable {
   /// Single-cell lookup.
   StatusOr<std::optional<std::string>> GetCell(Slice key,
                                                size_t column) const;
+
+  /// The table with this one's schema and exactly `rows` as its content:
+  /// the same table, id and all, that Create(columns(), rows, key_column())
+  /// gives. One merge pass compares the rows against this version's row
+  /// tree in key order and splices in only the rows that differ, so a
+  /// re-import costs what changed; when much of the table changed, a fresh
+  /// build is cheaper and is what runs.
+  StatusOr<FTable> ReplaceRows(
+      const std::vector<std::vector<std::string>>& rows) const;
 
   /// Functional row updates (new table; old versions remain addressable).
   StatusOr<FTable> UpsertRow(const std::vector<std::string>& row) const;

@@ -14,12 +14,18 @@ void PutFixed64(std::string* dst, uint64_t v) {
   dst->append(buf, 8);
 }
 
-void PutVarint64(std::string* dst, uint64_t v) {
+char* EncodeVarint64(char* dst, uint64_t v) {
   while (v >= 0x80) {
-    dst->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    *dst++ = static_cast<char>((v & 0x7f) | 0x80);
     v >>= 7;
   }
-  dst->push_back(static_cast<char>(v));
+  *dst++ = static_cast<char>(v);
+  return dst;
+}
+
+void PutVarint64(std::string* dst, uint64_t v) {
+  char buf[10];
+  dst->append(buf, EncodeVarint64(buf, v) - buf);
 }
 
 void PutLengthPrefixed(std::string* dst, Slice s) {

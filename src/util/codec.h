@@ -20,6 +20,8 @@ void PutFixed64(std::string* dst, uint64_t v);
 
 /// Appends a LEB128 varint (canonical minimal form).
 void PutVarint64(std::string* dst, uint64_t v);
+/// Writes the same bytes at `dst` (room for 10); returns the end.
+char* EncodeVarint64(char* dst, uint64_t v);
 
 /// Appends varint length followed by raw bytes.
 void PutLengthPrefixed(std::string* dst, Slice s);

@@ -482,6 +482,165 @@ TEST(CsvTest, CrlfTolerated) {
   EXPECT_EQ(doc->rows[0], (std::vector<std::string>{"1", "2"}));
 }
 
+TEST(CsvTest, WidthErrorNamesTheRecord) {
+  // Record 1 is the header; a quoted newline does not start a record.
+  auto doc = ParseCsv(Slice("a,b\n\"x\ny\",2\n1,2,3\n4,5\n"));
+  ASSERT_FALSE(doc.ok());
+  EXPECT_NE(doc.status().message().find("record 3 has 3 cells"),
+            std::string::npos)
+      << doc.status().ToString();
+}
+
+/// The per-character parser ParseCsv replaced, kept as its differential
+/// oracle (only its width error now names the record, as ParseCsv's does).
+StatusOr<CsvDocument> ReferenceParseCsv(Slice text) {
+  CsvDocument doc;
+  std::vector<std::string> record;
+  std::string cell;
+  bool in_quotes = false;
+  bool cell_started = false;
+  bool record_started = false;
+  size_t records = 0, ragged = 0, ragged_width = 0;
+
+  auto end_cell = [&]() {
+    record.push_back(std::move(cell));
+    cell.clear();
+    cell_started = false;
+  };
+  auto end_record = [&]() {
+    end_cell();
+    ++records;
+    if (doc.header.empty()) {
+      doc.header = std::move(record);
+    } else {
+      if (ragged == 0 && record.size() != doc.header.size()) {
+        ragged = records;
+        ragged_width = record.size();
+      }
+      doc.rows.push_back(std::move(record));
+    }
+    record.clear();
+    record_started = false;
+  };
+
+  size_t i = 0;
+  const size_t n = text.size();
+  while (i < n) {
+    char c = text[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < n && text[i + 1] == '"') {
+          cell.push_back('"');
+          i += 2;
+          continue;
+        }
+        in_quotes = false;
+        ++i;
+        continue;
+      }
+      cell.push_back(c);
+      ++i;
+      continue;
+    }
+    switch (c) {
+      case '"':
+        if (!cell_started && cell.empty()) {
+          in_quotes = true;
+          cell_started = true;
+          record_started = true;
+        } else {
+          cell.push_back(c);
+        }
+        ++i;
+        break;
+      case ',':
+        record_started = true;
+        end_cell();
+        ++i;
+        break;
+      case '\r':
+        ++i;
+        break;
+      case '\n':
+        if (record_started || !cell.empty() || !record.empty()) {
+          end_record();
+        }
+        ++i;
+        break;
+      default:
+        cell.push_back(c);
+        cell_started = true;
+        record_started = true;
+        ++i;
+        break;
+    }
+  }
+  if (in_quotes) {
+    return Status::InvalidArgument("CSV ends inside a quoted cell");
+  }
+  if (record_started || !cell.empty() || !record.empty()) {
+    end_record();
+  }
+  if (doc.header.empty()) {
+    return Status::InvalidArgument("CSV has no header record");
+  }
+  if (ragged != 0) {
+    return Status::InvalidArgument(
+        "CSV record " + std::to_string(ragged) + " has " +
+        std::to_string(ragged_width) + " cells, the header has " +
+        std::to_string(doc.header.size()));
+  }
+  return doc;
+}
+
+void ExpectSameParse(const std::string& text) {
+  auto want = ReferenceParseCsv(text);
+  auto got = ParseCsv(text);
+  ASSERT_EQ(got.ok(), want.ok()) << "input: " << ::testing::PrintToString(text);
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString())
+        << "input: " << ::testing::PrintToString(text);
+    return;
+  }
+  EXPECT_EQ(got->header, want->header)
+      << "input: " << ::testing::PrintToString(text);
+  EXPECT_EQ(got->rows, want->rows)
+      << "input: " << ::testing::PrintToString(text);
+}
+
+TEST(CsvTest, MatchesReferenceOnRandomDocuments) {
+  // Every byte the parser's state machine treats specially, plus two
+  // ordinary ones, so runs, quotes, blank lines and CRs all interleave.
+  const char kAlphabet[] = {'a', ',', '"', '\r', '\n', ' '};
+  Rng rng(17);
+  for (int doc = 0; doc < 50000; ++doc) {
+    std::string text(rng.Uniform(40), ' ');
+    for (char& c : text) c = kAlphabet[rng.Uniform(sizeof(kAlphabet))];
+    ExpectSameParse(text);
+    if (HasFatalFailure() || HasNonfatalFailure()) return;
+  }
+}
+
+TEST(CsvTest, MatchesReferenceOnEveryPrefixOfTheFixtures) {
+  const std::string fixtures[] = {
+      "a,b,c\n1,2,3\n4,5,6\n",
+      "k,v\n\"a,b\",\"line1\nline2\"\n\"he said \"\"hi\"\"\",plain\n",
+      "a\n\"oops\n",
+      "a,b\r\n1,2\r\n",
+      "a,b\n1,2,3\n",
+      WriteCsv(CsvDocument{{"id", "text"},
+                           {{"r1", "plain"},
+                            {"r2", "with,comma"},
+                            {"r3", "with \"quote\""},
+                            {"r4", "multi\nline"}}}),
+  };
+  for (const std::string& text : fixtures) {
+    for (size_t len = 0; len <= text.size(); ++len) {
+      ExpectSameParse(text.substr(0, len));
+    }
+  }
+}
+
 // --------------------------------------------------------------- Datagen --
 
 TEST(DatagenTest, DeterministicForSeed) {
