@@ -1,41 +1,36 @@
-// Sharded LRU read-cache decorator over any ChunkStore.
+// LRU read-cache decorator over any ChunkStore.
 //
 // POS-Tree operations repeatedly touch upper-level index chunks; the cache
 // keeps the hot working set in memory above a slow backend (FileChunkStore).
 // Chunks are immutable, so the cache never needs invalidation — the single
 // reason this decorator is trivially correct.
 //
-// The cache is striped into N independent LRU shards, each with its own
-// mutex, list, and byte budget (capacity_bytes / N). Concurrent readers on
-// different shards never contend, and a batched miss fill (GetMany) fetches
-// every absent chunk from the backend in one call before distributing the
-// results across shards.
+// The entries live in a ShardedLru (chunk/sharded_lru.h), so concurrent
+// readers on different shards never contend, and a batched miss fill
+// (GetMany) fetches every absent chunk from the backend in one call before
+// distributing the results across shards.
 #ifndef FORKBASE_CHUNK_CACHING_CHUNK_STORE_H_
 #define FORKBASE_CHUNK_CACHING_CHUNK_STORE_H_
 
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "chunk/chunk_store.h"
+#include "chunk/sharded_lru.h"
 
 namespace forkbase {
 
 class CachingChunkStore : public ChunkStore {
  public:
   /// @param base      the underlying store (shared; must outlive the cache)
-  /// @param capacity_bytes  max bytes of cached chunks (LRU eviction)
-  /// @param shards    LRU stripes (rounded up to a power of two). 0 = auto:
-  ///                  one stripe per 256 KiB of capacity, capped at 16, so
-  ///                  small caches keep the strict single-LRU byte bound
-  ///                  while large ones gain concurrency. Each shard always
-  ///                  retains its most recent chunk, so with S stripes the
-  ///                  resident total may overshoot capacity by up to S-1
-  ///                  max-sized chunks.
-  CachingChunkStore(std::shared_ptr<ChunkStore> base, size_t capacity_bytes,
-                    uint32_t shards = 0);
+  /// @param capacity_bytes  max bytes of cached chunks (LRU eviction). The
+  ///                  LRU gets one shard per 256 KiB of capacity, capped at
+  ///                  16, so small caches keep the strict single-LRU byte
+  ///                  bound while large ones gain concurrency. Each shard
+  ///                  always retains its most recent chunk, so with S shards
+  ///                  the resident total may overshoot capacity by up to S-1
+  ///                  max-sized chunks, and a capacity of 0 keeps one chunk.
+  CachingChunkStore(std::shared_ptr<ChunkStore> base, size_t capacity_bytes);
 
   StatusOr<Chunk> Get(const Hash256& id) const override;
   std::vector<StatusOr<Chunk>> GetMany(
@@ -72,38 +67,17 @@ class CachingChunkStore : public ChunkStore {
     base_->ForEachId(fn);
   }
 
-  struct CacheStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t resident_bytes = 0;
-  };
+  using CacheStats = LruStats;
   /// Aggregated over all shards.
-  CacheStats cache_stats() const;
+  CacheStats cache_stats() const { return lru_.stats(); }
 
-  size_t shard_count() const { return shards_.size(); }
+  size_t shard_count() const { return lru_.shard_count(); }
 
  protected:
   Status PutImpl(const Chunk& chunk) override;
   Status PutManyImpl(std::span<const Chunk> chunks) override;
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    // LRU: list front = most recent. Map values point into the list.
-    std::list<std::pair<Hash256, Chunk>> lru;
-    std::unordered_map<Hash256,
-                       std::list<std::pair<Hash256, Chunk>>::iterator,
-                       Hash256Hasher>
-        map;
-    CacheStats stats;
-  };
-
-  Shard& ShardFor(const Hash256& id) const;
-  /// Inserts (or refreshes) under the shard lock, evicting past the shard's
-  /// byte budget.
-  void InsertLocked(Shard& shard, const Hash256& id, const Chunk& chunk) const;
-
   /// Shard-probe result shared by the sync and async batch paths: resolved
   /// hit slots plus the deduplicated miss set with the slots each miss id
   /// must fill.
@@ -122,8 +96,7 @@ class CachingChunkStore : public ChunkStore {
       std::vector<std::optional<StatusOr<Chunk>>> slots);
 
   std::shared_ptr<ChunkStore> base_;
-  size_t shard_capacity_bytes_;
-  mutable std::vector<Shard> shards_;
+  mutable ShardedLru<Chunk> lru_;
 };
 
 }  // namespace forkbase

@@ -118,6 +118,14 @@ struct ChunkStoreStats {
   }
 };
 
+/// Counters of a ShardedLru over chunk ids (the read cache's stats).
+struct LruStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;       ///< entries dropped by the capacity bound
+  uint64_t resident_bytes = 0;  ///< sum of resident entries' charges
+};
+
 /// Abstract content-addressed store. Implementations must be thread-safe.
 ///
 /// Writes follow the non-virtual-interface pattern: the public Put/PutMany

@@ -68,9 +68,9 @@ FileChunkStore::FileChunkStore(std::string dir, Options options)
     : dir_(std::move(dir)),
       options_(options),
       shards_(NormalizeShardCount(options.index_shards)),
+      delta_cache_(/*shards=*/1, kDeltaCacheBytes),
       prefetch_pool_(options.prefetch_threads),
-      compact_pool_(options.background_compaction ? options.maintenance_threads
-                                                  : 0) {}
+      compact_pool_(options.maintenance_threads) {}
 
 FileChunkStore::~FileChunkStore() {
   // Scheduled rewrites still need the index and the append stream; run them
@@ -312,31 +312,6 @@ Status FileChunkStore::OpenSegmentForAppend(uint32_t seg_no) {
 
 // ---- read path -------------------------------------------------------------
 
-bool FileChunkStore::CacheGet(const Hash256& id, std::string* bytes) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_map_.find(id);
-  if (it == cache_map_.end()) return false;
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-  *bytes = it->second->second;
-  return true;
-}
-
-void FileChunkStore::CachePut(const Hash256& id,
-                              const std::string& bytes) const {
-  if (bytes.size() > kDeltaCacheBytes / 4) return;  // oversized: not worth it
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  if (cache_map_.count(id)) return;
-  cache_lru_.emplace_front(id, bytes);
-  cache_map_[id] = cache_lru_.begin();
-  cache_bytes_ += bytes.size();
-  while (cache_bytes_ > kDeltaCacheBytes && !cache_lru_.empty()) {
-    auto& back = cache_lru_.back();
-    cache_bytes_ -= back.second.size();
-    cache_map_.erase(back.first);
-    cache_lru_.pop_back();
-  }
-}
-
 StatusOr<std::string> FileChunkStore::ReadPayloadWithRetry(
     const Hash256& id, Location* loc) const {
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -414,7 +389,7 @@ StatusOr<std::string> FileChunkStore::MaterializeLogical(const Hash256& id,
                               id.ToBase32());
   }
   std::string cached;
-  if (CacheGet(id, &cached)) return cached;
+  if (delta_cache_.Lookup(id, &cached)) return cached;
   Location loc;
   if (!Lookup(id, &loc)) {
     return Status::NotFound("delta base " + id.ToBase32() + " missing");
@@ -422,7 +397,9 @@ StatusOr<std::string> FileChunkStore::MaterializeLogical(const Hash256& id,
   FB_ASSIGN_OR_RETURN(std::string payload, ReadPayloadWithRetry(id, &loc));
   FB_ASSIGN_OR_RETURN(std::string logical,
                       DecodePayload(id, loc, std::move(payload), depth));
-  CachePut(id, logical);
+  if (logical.size() <= kDeltaCacheBytes / 4) {  // oversized: not worth it
+    delta_cache_.Insert(id, logical, logical.size());
+  }
   return logical;
 }
 
@@ -1211,7 +1188,7 @@ void FileChunkStore::MaybeScheduleCompaction(uint32_t segment) {
     it->second.compaction_scheduled = true;
     ++compactions_pending_;
   }
-  // With background_compaction off, Submit runs this inline — which is why
+  // With maintenance_threads = 0, Submit runs this inline — which is why
   // callers must not hold store locks here.
   compact_pool_.Submit([this, segment] {
     CompactSegment(segment);

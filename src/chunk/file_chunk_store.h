@@ -61,8 +61,8 @@
 //
 // Lock order (where several are held): append_mu_ before any shard mutex
 // before seg_mu_ (the per-segment accounting lock is innermost and never
-// calls out). delta_mu_ and cache_mu_ are leaves: taken briefly, never held
-// while acquiring another store lock or doing I/O.
+// calls out). delta_mu_ and delta_cache_'s lock are leaves: taken briefly,
+// never held while acquiring another store lock or doing I/O.
 #ifndef FORKBASE_CHUNK_FILE_CHUNK_STORE_H_
 #define FORKBASE_CHUNK_FILE_CHUNK_STORE_H_
 
@@ -71,7 +71,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -79,6 +78,7 @@
 #include <vector>
 
 #include "chunk/chunk_store.h"
+#include "chunk/sharded_lru.h"
 #include "util/worker_pool.h"
 
 namespace forkbase {
@@ -114,15 +114,13 @@ class FileChunkStore : public ChunkStore {
     /// compaction: Erase still drops index entries and appends tombstones,
     /// but disk space is never given back.
     double compact_live_ratio = 0.5;
-    /// Run segment rewrites on background maintenance threads (spawned
-    /// lazily on the first rewrite). Off = rewrites run inline inside the
-    /// Erase/PutMany call that crossed the threshold — deterministic for
-    /// tests, and what keeps space_used() exact for tight budget loops.
-    bool background_compaction = true;
     /// Maintenance pool width: how many segment rewrites run concurrently
-    /// (each is a work item; excess queue). Rewrites block on cold device
-    /// reads and the pre-truncate fsync, so >1 pays off even on a single
-    /// core. 0 behaves like background_compaction = false (inline).
+    /// on background threads (spawned lazily on the first rewrite; excess
+    /// rewrites queue). Rewrites block on cold device reads and the
+    /// pre-truncate fsync, so >1 pays off even on a single core. 0 runs
+    /// each rewrite inline inside the Erase/PutMany call that crossed the
+    /// threshold — deterministic for tests, and what keeps space_used()
+    /// exact for tight budget loops.
     uint32_t maintenance_threads = 1;
     /// Benchmark/testing hook: extra latency added to each pre-truncate
     /// segment sync a rewrite performs, modeling a device with non-trivial
@@ -195,7 +193,7 @@ class FileChunkStore : public ChunkStore {
   Status Flush();
 
   /// Blocks until every scheduled background segment rewrite has completed.
-  /// No-op with background_compaction off. Tests (and budget-sensitive
+  /// No-op with maintenance_threads = 0. Tests (and budget-sensitive
   /// callers about to measure disk) use this as the quiesce barrier.
   void WaitForMaintenance();
 
@@ -323,10 +321,6 @@ class FileChunkStore : public ChunkStore {
   /// under it) through the index. Consults/populates the delta cache.
   StatusOr<std::string> MaterializeLogical(const Hash256& id,
                                            int depth) const;
-  /// Delta-cache accessors (cache_mu_ inside).
-  bool CacheGet(const Hash256& id, std::string* bytes) const;
-  void CachePut(const Hash256& id, const std::string& bytes) const;
-
   /// Appends one FBC2 record to `buffer` and fills `loc`'s encoding,
   /// lengths and header size (the caller sets segment and offset). Returns
   /// the record's total byte size.
@@ -363,7 +357,7 @@ class FileChunkStore : public ChunkStore {
   /// True when `space` is rewrite-worthy (dead-heavy). Caller holds seg_mu_.
   bool BelowLiveRatio(const SegmentSpace& space) const;
   /// Queues `segment` for rewrite if it is closed, dead-heavy, and not
-  /// already queued (runs inline when background_compaction is off).
+  /// already queued (runs inline when maintenance_threads = 0).
   /// Caller must hold NO store locks.
   void MaybeScheduleCompaction(uint32_t segment);
   /// Streams the live records of `segment` into the active segment
@@ -409,13 +403,7 @@ class FileChunkStore : public ChunkStore {
   /// Small LRU of materialized logical bytes, keyed by chunk id. Content
   /// addressing makes entries immortal-correct (an id's bytes never
   /// change), so there is no invalidation — only capacity eviction.
-  mutable std::mutex cache_mu_;
-  mutable std::list<std::pair<Hash256, std::string>> cache_lru_;
-  mutable std::unordered_map<
-      Hash256, std::list<std::pair<Hash256, std::string>>::iterator,
-      Hash256Hasher>
-      cache_map_;
-  mutable uint64_t cache_bytes_ = 0;
+  mutable ShardedLru<std::string> delta_cache_;
 
   // Serves GetManyAsync. Shut down first in the destructor so no background
   // read can outlive the shards or the append stream.

@@ -29,7 +29,7 @@ TieredChunkStore::TieredChunkStore(std::shared_ptr<ChunkStore> hot,
     : hot_(std::move(hot)),
       cold_(std::move(cold)),
       options_(std::move(options)),
-      meta_(kMetaShards),
+      hot_lru_(/*shards=*/8),
       demote_pool_(1) {
   // Restore the dirty set a previous incarnation left behind. With a
   // manifest that replayed an existing journal, its word is authoritative:
@@ -83,92 +83,29 @@ TieredChunkStore::~TieredChunkStore() {
 
 // ---- hot-residency tracker ------------------------------------------------
 
-TieredChunkStore::MetaShard& TieredChunkStore::MetaShardFor(
-    const Hash256& id) const {
-  return meta_[id.bytes[1] % kMetaShards];
-}
-
 bool TieredChunkStore::NoteHot(const Hash256& id, uint64_t size,
                                bool dirty) const {
   if (!tracking()) return dirty;  // untracked: every write-back put queues
-  MetaShard& shard = MetaShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(id);
-  if (it != shard.map.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    // Never clean -> dirty: a clean entry is cold-resident (same id, same
-    // bytes — the demotion already happened), and a dirty entry is already
-    // queued or riding an in-flight drain.
-    return false;
-  }
-  shard.lru.push_front(MetaEntry{id, size, dirty});
-  shard.map.emplace(id, shard.lru.begin());
-  hot_bytes_.fetch_add(size, std::memory_order_relaxed);
+  // Never clean -> dirty: a clean entry is cold-resident (same id, same
+  // bytes — the demotion already happened), and a dirty entry is already
+  // queued or riding an in-flight drain. The pin is counted before the
+  // entry becomes visible, so a racing Erase or MarkCleanMeta can never
+  // subtract it first.
   if (dirty) pinned_dirty_bytes_.fetch_add(size, std::memory_order_relaxed);
-  return dirty;
-}
-
-void TieredChunkStore::TouchHot(const Hash256& id) const {
-  if (!tracking()) return;
-  MetaShard& shard = MetaShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(id);
-  if (it != shard.map.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  }
+  if (hot_lru_.Insert(id, dirty, size)) return dirty;
+  if (dirty) pinned_dirty_bytes_.fetch_sub(size, std::memory_order_relaxed);
+  return false;
 }
 
 void TieredChunkStore::MarkCleanMeta(std::span<const Hash256> ids) const {
   if (!tracking()) return;
   for (const Hash256& id : ids) {
-    MetaShard& shard = MetaShardFor(id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(id);
-    if (it == shard.map.end() || !it->second->dirty) continue;
-    it->second->dirty = false;
-    pinned_dirty_bytes_.fetch_sub(it->second->size,
-                                  std::memory_order_relaxed);
+    hot_lru_.Update(id, [this](bool& dirty, uint64_t size) {
+      if (!dirty) return;
+      dirty = false;
+      pinned_dirty_bytes_.fetch_sub(size, std::memory_order_relaxed);
+    });
   }
-}
-
-void TieredChunkStore::ForgetHot(std::span<const Hash256> ids) const {
-  if (!tracking()) return;
-  for (const Hash256& id : ids) {
-    MetaShard& shard = MetaShardFor(id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(id);
-    if (it == shard.map.end()) continue;
-    hot_bytes_.fetch_sub(it->second->size, std::memory_order_relaxed);
-    if (it->second->dirty) {
-      pinned_dirty_bytes_.fetch_sub(it->second->size,
-                                    std::memory_order_relaxed);
-    }
-    shard.lru.erase(it->second);
-    shard.map.erase(it);
-  }
-}
-
-std::vector<std::pair<Hash256, uint64_t>> TieredChunkStore::CollectVictims(
-    size_t max_n) const {
-  std::vector<std::pair<Hash256, uint64_t>> victims;
-  // Rotate the starting shard so repeated passes spread wear instead of
-  // draining shard 0 first.
-  const size_t start =
-      evict_cursor_.fetch_add(1, std::memory_order_relaxed) % kMetaShards;
-  for (size_t s = 0; s < kMetaShards && victims.size() < max_n; ++s) {
-    MetaShard& shard = meta_[(start + s) % kMetaShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.lru.end();
-    while (it != shard.lru.begin() && victims.size() < max_n) {
-      --it;
-      if (it->dirty) continue;  // pinned until demotion lands
-      victims.emplace_back(it->id, it->size);
-      hot_bytes_.fetch_sub(it->size, std::memory_order_relaxed);
-      shard.map.erase(it->id);
-      it = shard.lru.erase(it);
-    }
-  }
-  return victims;
 }
 
 void TieredChunkStore::EnforceHotBudget() const {
@@ -188,13 +125,15 @@ void TieredChunkStore::EnforceHotBudget() const {
   uint64_t need = space - budget;
   uint64_t freed = 0;
   while (freed < need) {
-    auto victims = CollectVictims(options_.evict_batch);
+    // Dirty entries are pinned until their demotion lands.
+    auto victims = hot_lru_.PopOldest(options_.evict_batch,
+                                      [](bool dirty) { return dirty; });
     if (victims.empty()) break;  // everything left is pinned dirty
     std::vector<Hash256> confirmed;
     std::vector<uint64_t> confirmed_sizes;
     confirmed.reserve(victims.size());
     confirmed_sizes.reserve(victims.size());
-    for (const auto& [id, size] : victims) {
+    for (const auto& [id, dirty, size] : victims) {
       // Final safety check: only erase what the cold tier provably holds.
       // A clean entry whose chunk the cold tier lacks (a lost manifest, a
       // cold tier swapped out from under us) re-enters the dirty pipeline
@@ -408,7 +347,12 @@ Status TieredChunkStore::Erase(std::span<const Hash256> ids) {
   for (const Hash256& id : dirty_garbage) {
     if (!cold_->Contains(id)) hot_only.insert(id);
   }
-  ForgetHot(ids);
+  for (const Hash256& id : ids) {
+    auto gone = hot_lru_.Erase(id);
+    if (gone && gone->value) {
+      pinned_dirty_bytes_.fetch_sub(gone->charge, std::memory_order_relaxed);
+    }
+  }
   Status status;
   if (hot_->SupportsErase()) {
     Status hot_status = hot_->Erase(ids);
@@ -438,7 +382,7 @@ StatusOr<Chunk> TieredChunkStore::Get(const Hash256& id) const {
   auto hot = hot_->Get(id);
   if (hot.ok()) {
     hot_hits_.fetch_add(1, std::memory_order_relaxed);
-    TouchHot(id);
+    if (tracking()) hot_lru_.Lookup(id, nullptr);
     return hot;
   }
   // Surface a real hot-tier error; only kNotFound goes to the cold tier.
@@ -510,7 +454,7 @@ std::vector<StatusOr<Chunk>> TieredChunkStore::MergeTiers(
   for (size_t i = 0; i < hot_slots.size(); ++i) {
     if (hot_slots[i].ok()) {
       ++hot_hits;
-      TouchHot(partition.hot_ids[i]);
+      if (tracking()) hot_lru_.Lookup(partition.hot_ids[i], nullptr);
     } else if (hot_slots[i].status().IsNotFound()) {
       hot_miss_ids.push_back(partition.hot_ids[i]);
       hot_miss_out.push_back(partition.hot_slots[i]);
@@ -583,7 +527,7 @@ void TieredChunkStore::ResolveHotMisses(
   for (size_t i = 0; i < slots->size(); ++i) {
     if ((*slots)[i].ok()) {
       ++hits;
-      TouchHot(ids[i]);
+      if (tracking()) hot_lru_.Lookup(ids[i], nullptr);
     } else if ((*slots)[i].status().IsNotFound()) {
       miss_ids.push_back(ids[i]);
       miss_slots.push_back(i);
@@ -764,7 +708,7 @@ TieredChunkStore::TierStats TieredChunkStore::tier_stats() const {
   stats.demotions = demotions_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.hot_only_erases = hot_only_erases_.load(std::memory_order_relaxed);
-  stats.hot_bytes = hot_bytes_.load(std::memory_order_relaxed);
+  stats.hot_bytes = hot_lru_.stats().resident_bytes;
   stats.pinned_dirty_bytes =
       pinned_dirty_bytes_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(dirty_mu_);

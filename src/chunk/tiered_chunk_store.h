@@ -35,8 +35,9 @@
 // write-back contract from the tiers' actual contents.
 //
 // Bounded hot tier: with Options::hot_bytes_budget set (and a hot tier that
-// SupportsErase), the store tracks every hot-resident chunk in a sharded
-// LRU and evicts past the budget — *cold-resident, clean* chunks only.
+// SupportsErase), the store tracks every hot-resident chunk in the chunk
+// layer's one LRU (ShardedLru, chunk/sharded_lru.h) and evicts past the
+// budget — *cold-resident, clean* chunks only.
 // Dirty chunks are pinned (tier_stats().pinned_dirty_bytes) until their
 // demotion succeeds; a drain's completion both unpins its chunks and runs
 // the evictor, so a write burst that outruns the budget drains down to it.
@@ -63,15 +64,14 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "chunk/chunk_store.h"
 #include "chunk/dirty_manifest.h"
+#include "chunk/sharded_lru.h"
 #include "util/worker_pool.h"
 
 namespace forkbase {
@@ -259,36 +259,15 @@ class TieredChunkStore : public ChunkStore {
   /// the tracker, and runs the evictor.
   Status DemoteIds(std::vector<Hash256> ids);
 
-  // ---- hot-residency tracker (sharded LRU; active when budget > 0) -------
-  struct MetaEntry {
-    Hash256 id;
-    uint64_t size = 0;
-    bool dirty = false;
-  };
-  struct MetaShard {
-    mutable std::mutex mu;
-    std::list<MetaEntry> lru;  ///< front = most recently touched
-    std::unordered_map<Hash256, std::list<MetaEntry>::iterator, Hash256Hasher>
-        map;
-  };
-  static constexpr size_t kMetaShards = 8;
+  // ---- hot-residency tracker (active when budget > 0) -------------------
   bool tracking() const { return options_.hot_bytes_budget > 0; }
-  MetaShard& MetaShardFor(const Hash256& id) const;
   /// Upserts a hot-resident entry (refreshing recency). Returns true when
   /// the chunk newly needs demotion — an existing clean entry is never
   /// re-dirtied (clean implies cold-resident: identical bytes are already
   /// demoted), and an existing dirty entry is already queued or in flight.
   bool NoteHot(const Hash256& id, uint64_t size, bool dirty) const;
-  /// Moves a read-hit entry to the front of its shard's LRU.
-  void TouchHot(const Hash256& id) const;
   /// Transitions entries dirty -> clean after a landed demotion.
   void MarkCleanMeta(std::span<const Hash256> ids) const;
-  /// Removes entries (evicted / erased) from the tracker.
-  void ForgetHot(std::span<const Hash256> ids) const;
-  /// Pops up to `max_n` clean entries, LRU-first, across shards; the
-  /// entries leave the tracker immediately.
-  std::vector<std::pair<Hash256, uint64_t>> CollectVictims(
-      size_t max_n) const;
 
   std::shared_ptr<ChunkStore> hot_;
   std::shared_ptr<ChunkStore> cold_;
@@ -301,10 +280,11 @@ class TieredChunkStore : public ChunkStore {
   mutable std::unordered_set<Hash256, Hash256Hasher> dirty_;
   size_t demotions_in_flight_ = 0;
 
-  mutable std::vector<MetaShard> meta_;
+  /// Hot-resident chunks, value = dirty (pinned until demoted), charge =
+  /// chunk size. Unbounded: EnforceHotBudget pops its oldest clean entries
+  /// against hot_->space_used().
+  mutable ShardedLru<bool> hot_lru_;
   mutable std::mutex evict_mu_;  ///< one eviction pass at a time
-  mutable std::atomic<size_t> evict_cursor_{0};
-  mutable std::atomic<uint64_t> hot_bytes_{0};
   mutable std::atomic<uint64_t> pinned_dirty_bytes_{0};
   mutable std::atomic<uint64_t> evictions_{0};
   mutable std::atomic<uint64_t> hot_only_erases_{0};

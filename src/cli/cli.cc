@@ -515,7 +515,7 @@ Status RunCommand(const std::string& cmd, CliContext& ctx, ForkBase& db,
     ForkBaseServer::Options server_options;
     const std::string branch_file = BranchFilePath(ctx);
     server_options.after_mutation = [&db, branch_file]() {
-      (void)db.branches().SaveToFile(branch_file);
+      return db.branches().SaveToFile(branch_file);
     };
     if (ctx.max_outbox_kb > 0) {
       server_options.max_outbox_bytes = ctx.max_outbox_kb << 10;

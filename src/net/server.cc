@@ -837,14 +837,17 @@ std::string ForkBaseServer::HandleRequest(
       break;
   }
 
+  if (mutated && options_.after_mutation) {
+    std::lock_guard<std::mutex> lock(mutation_mu_);
+    Status hook = options_.after_mutation();
+    if (!hook.ok()) {
+      status = Status(hook.code(), "applied, not persisted: " + hook.message());
+    }
+  }
   if (!status.ok()) {
     return EncodeFrame(Verb::kError, EncodeError(status));
   }
   requests_served_.fetch_add(1);
-  if (mutated && options_.after_mutation) {
-    std::lock_guard<std::mutex> lock(mutation_mu_);
-    options_.after_mutation();
-  }
   return EncodeFrame(Verb::kOk, Slice(payload));
 }
 

@@ -57,8 +57,11 @@ class ForkBaseServer {
     uint64_t max_bundle_bytes = 1ull << 30;
     /// Invoked (serialized) after every successful mutating request — the
     /// CLI persists the branch sidecar here so a crash after a client
-    /// commit cannot lose the head.
-    std::function<void()> after_mutation;
+    /// commit cannot lose the head. A non-OK status becomes the request's
+    /// error reply ("applied, not persisted: ...") instead of its
+    /// acknowledgement: the mutation is already applied in memory and
+    /// visible to reads, only its persistence failed.
+    std::function<Status()> after_mutation;
 
     // --- backpressure ---
     /// Per-session outbox cap. Over it the loop stops reading the session

@@ -1,5 +1,6 @@
 #include "store/branch_table.h"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -120,16 +121,28 @@ std::vector<std::pair<std::string, Hash256>> BranchTable::Heads(
 }
 
 Status BranchTable::SaveToFile(const std::string& path) const {
+  // Write a sibling file and rename it over `path`: a save that fails (or
+  // a process crash mid-write) leaves the previous table intact, never a
+  // truncated one — an empty table would make every chunk unreachable to
+  // GC. Neither file nor directory is fsynced, so after a power loss some
+  // filesystems can keep the rename without the data and leave an empty
+  // table all the same.
+  const std::string tmp = path + ".tmp";
   std::lock_guard<std::mutex> lock(mu_);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IOError("cannot write " + path);
-  for (const auto& [key, branches] : heads_) {
-    for (const auto& [branch, uid] : branches) {
-      out << key << '\t' << branch << '\t' << uid.ToBase32() << '\n';
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) return Status::IOError("cannot write " + tmp);
+    for (const auto& [key, branches] : heads_) {
+      for (const auto& [branch, uid] : branches) {
+        out << key << '\t' << branch << '\t' << uid.ToBase32() << '\n';
+      }
     }
+    out.flush();
+    if (!out) return Status::IOError("write failed for " + tmp);
   }
-  out.flush();
-  if (!out) return Status::IOError("write failed for " + path);
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) return Status::IOError("rename " + tmp + ": " + ec.message());
   return Status::OK();
 }
 

@@ -824,15 +824,7 @@ ForkBaseStats ForkBase::Stat() const {
   stats.gc_sweeps = gc_sweeps_.load();
   stats.gc_swept_chunks = gc_swept_chunks_.load();
   stats.gc_swept_bytes = gc_swept_bytes_.load();
-  if (cache_store_) {
-    auto cs = cache_store_->cache_stats();
-    ForkBaseStats::Cache cache;
-    cache.hits = cs.hits;
-    cache.misses = cs.misses;
-    cache.evictions = cs.evictions;
-    cache.resident_bytes = cs.resident_bytes;
-    stats.cache = cache;
-  }
+  if (cache_store_) stats.cache = cache_store_->cache_stats();
   auto qs = commit_queue_->stats();
   stats.commit_queue.commits = qs.commits;
   stats.commit_queue.batches = qs.batches;

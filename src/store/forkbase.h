@@ -74,12 +74,7 @@ struct ForkBaseStats {
   uint64_t branches = 0;
   uint64_t commits = 0;  ///< FNodes written by this instance
 
-  struct Cache {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t resident_bytes = 0;
-  };
+  using Cache = LruStats;
   struct CommitQueueCounters {
     uint64_t commits = 0;   ///< commit entries durably landed via the queue
     uint64_t batches = 0;   ///< drain groups (PutMany runs)

@@ -338,9 +338,9 @@ TEST(CacheBatchTest, DuplicateMissOfAbsentIdPropagatesPerSlot) {
   EXPECT_EQ(cstats.hits, 0u);
 }
 
-TEST(CacheBatchTest, ExplicitShardingSpreadsEntries)  {
+TEST(CacheBatchTest, DerivedShardingSpreadsEntries) {
   auto base = std::make_shared<MemChunkStore>();
-  CachingChunkStore cache(base, 1 << 20, /*shards=*/8);
+  CachingChunkStore cache(base, 2 << 20);  // one shard per 256 KiB
   EXPECT_EQ(cache.shard_count(), 8u);
   auto chunks = MakeChunks(64, 11);
   ASSERT_TRUE(cache.PutMany(chunks).ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -10,6 +11,7 @@
 #include "chunk/caching_chunk_store.h"
 #include "chunk/file_chunk_store.h"
 #include "chunk/mem_chunk_store.h"
+#include "chunk/sharded_lru.h"
 #include "util/random.h"
 
 namespace forkbase {
@@ -271,6 +273,145 @@ TEST_F(FileChunkStoreTest, ForEachVisitsAll) {
   EXPECT_EQ(visited, 5);
 }
 
+// ------------------------------------------------------------ ShardedLru --
+
+// A key whose digest routes it to `shard` of a ShardedLru with at most 256
+// shards (bytes 1 and 3 pick the shard); `tag` keeps keys distinct.
+Hash256 LruKey(uint8_t shard, uint8_t tag) {
+  Hash256 key;
+  key.bytes[1] = shard;
+  key.bytes[0] = tag;
+  return key;
+}
+
+std::vector<Hash256> PopAllKeys(ShardedLru<int>* lru) {
+  std::vector<Hash256> keys;
+  for (auto& entry : lru->PopOldest(SIZE_MAX, [](int) { return false; })) {
+    keys.push_back(entry.key);
+  }
+  return keys;
+}
+
+TEST(ShardedLruTest, LookupRefreshesRecency) {
+  ShardedLru<int> lru(/*shards=*/1);
+  const Hash256 a = LruKey(0, 1), b = LruKey(0, 2), c = LruKey(0, 3);
+  EXPECT_TRUE(lru.Insert(a, 1, 1));
+  EXPECT_TRUE(lru.Insert(b, 2, 1));
+  EXPECT_TRUE(lru.Insert(c, 3, 1));
+  int value = 0;
+  ASSERT_TRUE(lru.Lookup(a, &value));
+  EXPECT_EQ(value, 1);
+  EXPECT_FALSE(lru.Lookup(LruKey(0, 9), &value));
+  // Re-inserting a resident key refreshes it too, without replacing it.
+  EXPECT_FALSE(lru.Insert(b, 20, 1));
+  EXPECT_TRUE(lru.Contains(c));  // a probe: no refresh
+  EXPECT_EQ(PopAllKeys(&lru), (std::vector<Hash256>{c, a, b}));
+  auto stats = lru.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.resident_bytes, 0u);
+}
+
+TEST(ShardedLruTest, CapacityEvictsOldestButKeepsEachShardsNewest) {
+  ShardedLru<int> one(/*shards=*/1, /*capacity=*/3);
+  for (uint8_t i = 0; i < 3; ++i) one.Insert(LruKey(0, i), i, 1);
+  int value = 0;
+  ASSERT_TRUE(one.Lookup(LruKey(0, 0), &value));  // 1 is now the oldest
+  one.Insert(LruKey(0, 3), 3, 1);
+  EXPECT_FALSE(one.Contains(LruKey(0, 1)));
+  EXPECT_TRUE(one.Contains(LruKey(0, 0)));
+  EXPECT_EQ(one.stats().evictions, 1u);
+  // An entry over the whole budget evicts everything older, never itself.
+  one.Insert(LruKey(0, 4), 4, 10);
+  EXPECT_TRUE(one.Contains(LruKey(0, 4)));
+  EXPECT_EQ(one.stats().resident_bytes, 10u);
+  EXPECT_EQ(one.stats().evictions, 4u);
+
+  // Four shards of 100 bytes each, fed 150-byte entries: every shard keeps
+  // exactly its newest, so the total overshoots the capacity by design.
+  ShardedLru<int> four(/*shards=*/4, /*capacity=*/400);
+  EXPECT_EQ(four.shard_count(), 4u);
+  for (uint8_t tag = 0; tag < 3; ++tag) {
+    for (uint8_t shard = 0; shard < 4; ++shard) {
+      four.Insert(LruKey(shard, tag), tag, 150);
+    }
+  }
+  for (uint8_t shard = 0; shard < 4; ++shard) {
+    EXPECT_TRUE(four.Contains(LruKey(shard, 2)));
+    EXPECT_FALSE(four.Contains(LruKey(shard, 1)));
+  }
+  EXPECT_EQ(four.stats().resident_bytes, 4u * 150u);
+  EXPECT_EQ(four.stats().evictions, 8u);
+}
+
+TEST(ShardedLruTest, ChargeFollowsEraseAndUpdate) {
+  ShardedLru<int> lru(/*shards=*/2);
+  const Hash256 a = LruKey(0, 1), b = LruKey(1, 2);
+  lru.Insert(a, 1, 10);
+  lru.Insert(b, 2, 20);
+  EXPECT_EQ(lru.stats().resident_bytes, 30u);
+  auto gone = lru.Erase(a);
+  ASSERT_TRUE(gone.has_value());
+  EXPECT_EQ(gone->key, a);
+  EXPECT_EQ(gone->value, 1);
+  EXPECT_EQ(gone->charge, 10u);
+  EXPECT_FALSE(lru.Erase(a).has_value());
+  EXPECT_EQ(lru.stats().resident_bytes, 20u);
+  // A re-insert keeps the resident value and charge.
+  EXPECT_FALSE(lru.Insert(b, 99, 500));
+  EXPECT_EQ(lru.stats().resident_bytes, 20u);
+  uint64_t seen_charge = 0;
+  EXPECT_TRUE(lru.Update(b, [&](int& value, uint64_t charge) {
+    EXPECT_EQ(value, 2);
+    value = 7;
+    seen_charge = charge;
+  }));
+  EXPECT_EQ(seen_charge, 20u);
+  EXPECT_FALSE(lru.Update(a, [](int&, uint64_t) { FAIL(); }));
+  int value = 0;
+  ASSERT_TRUE(lru.Lookup(b, &value));
+  EXPECT_EQ(value, 7);
+  lru.CountLookups(b, 3, 2);
+  auto stats = lru.stats();
+  EXPECT_EQ(stats.hits, 4u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.resident_bytes, 20u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(ShardedLruTest, PopOldestSkipsPinnedAndRotatesAcrossShards) {
+  ShardedLru<bool> lru(/*shards=*/4);
+  // Per shard, oldest first: clean tag 0, pinned tag 1, clean tag 2.
+  for (uint8_t shard = 0; shard < 4; ++shard) {
+    lru.Insert(LruKey(shard, 0), false, 1);
+    lru.Insert(LruKey(shard, 1), true, 1);
+    lru.Insert(LruKey(shard, 2), false, 1);
+  }
+  auto pinned = [](bool dirty) { return dirty; };
+  // Each call starts one shard further on.
+  for (uint8_t shard = 0; shard < 4; ++shard) {
+    auto popped = lru.PopOldest(1, pinned);
+    ASSERT_EQ(popped.size(), 1u);
+    EXPECT_EQ(popped[0].key, LruKey(shard, 0));
+  }
+  // Back at shard 0: its oldest entry is pinned, so the next clean one goes.
+  auto popped = lru.PopOldest(1, pinned);
+  ASSERT_EQ(popped.size(), 1u);
+  EXPECT_EQ(popped[0].key, LruKey(0, 2));
+  // A wide pass starts at shard 1 and takes every clean entry left.
+  popped = lru.PopOldest(100, pinned);
+  ASSERT_EQ(popped.size(), 3u);
+  for (uint8_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(popped[i].key, LruKey(i + 1, 2));
+    EXPECT_FALSE(popped[i].value);
+  }
+  EXPECT_TRUE(lru.PopOldest(100, pinned).empty());
+  EXPECT_EQ(lru.stats().resident_bytes, 4u);
+  for (uint8_t shard = 0; shard < 4; ++shard) {
+    EXPECT_TRUE(lru.Contains(LruKey(shard, 1)));
+  }
+}
+
 // ----------------------------------------------------- CachingChunkStore --
 
 TEST(CachingChunkStoreTest, ServesFromCacheAfterFirstGet) {
@@ -300,6 +441,24 @@ TEST(CachingChunkStoreTest, EvictsLruUnderPressure) {
   EXPECT_LE(cstats.resident_bytes, 2048u + 513u);  // one overshoot allowed
   // Every chunk still retrievable through the cache (fetched from base).
   for (const auto& id : ids) EXPECT_TRUE(cache.Get(id).ok());
+}
+
+TEST(CachingChunkStoreTest, ZeroCapacityHoldsAboutOneChunk) {
+  // A zero budget is the tightest bound, not an unbounded cache.
+  auto base = std::make_shared<MemChunkStore>();
+  CachingChunkStore cache(base, 0);
+  Rng rng(37);
+  std::vector<Hash256> ids;
+  for (int i = 0; i < 10; ++i) {
+    Chunk c = MakeTestChunk(rng.NextBytes(512));
+    ASSERT_TRUE(cache.Put(c).ok());
+    ids.push_back(c.hash());
+  }
+  for (const auto& id : ids) ASSERT_TRUE(cache.Get(id).ok());
+  auto cstats = cache.cache_stats();
+  EXPECT_EQ(cache.shard_count(), 1u);
+  EXPECT_LE(cstats.resident_bytes, 513u);
+  EXPECT_GE(cstats.evictions, 18u);
 }
 
 TEST(CachingChunkStoreTest, MissFallsThroughToBase) {
@@ -384,7 +543,7 @@ TEST_F(FileChunkStoreTest, SegmentRewriteReclaimsDiskSpace) {
   FileChunkStore::Options options;
   options.segment_bytes = 4096;         // many small segments
   options.compact_live_ratio = 0.5;
-  options.background_compaction = false;  // deterministic: rewrite inline
+  options.maintenance_threads = 0;  // deterministic: rewrite inline
   auto store_or = FileChunkStore::Open(dir_, options);
   ASSERT_TRUE(store_or.ok());
   auto& store = **store_or;
@@ -473,7 +632,7 @@ TEST_F(FileChunkStoreTest, ReadersSurviveBackgroundRewrites) {
   FileChunkStore::Options options;
   options.segment_bytes = 4096;
   options.compact_live_ratio = 0.6;
-  options.background_compaction = true;
+  options.maintenance_threads = 1;  // rewrites run in the background
   auto store_or = FileChunkStore::Open(dir_, options);
   ASSERT_TRUE(store_or.ok());
   auto& store = **store_or;
@@ -517,7 +676,6 @@ TEST_F(FileChunkStoreTest, ParallelCompactionReclaimsEverySegment) {
   FileChunkStore::Options options;
   options.segment_bytes = 4096;
   options.compact_live_ratio = 0;  // no automatic rewrites: we queue them
-  options.background_compaction = true;
   options.maintenance_threads = 4;
   auto store_or = FileChunkStore::Open(dir_, options);
   ASSERT_TRUE(store_or.ok());
@@ -592,7 +750,6 @@ TEST_F(FileChunkStoreTest, EraseOnlyWorkloadRollsOversizedActiveSegment) {
   FileChunkStore::Options options;
   options.segment_bytes = 4096;
   options.compact_live_ratio = 0.5;
-  options.background_compaction = true;
   options.maintenance_threads = 2;
   auto reopened = FileChunkStore::Open(dir_, options);
   ASSERT_TRUE(reopened.ok());

@@ -75,11 +75,14 @@ TEST(ConcurrencyTest, ParallelPutsThroughCache) {
 }
 
 TEST(ConcurrencyTest, ShardedLruEvictionUnderConcurrentAccess) {
-  // Small per-shard budgets force continuous eviction while all threads
-  // hammer Get/Put across every shard. Guards the per-shard accounting
-  // (resident_bytes, list/map agreement) under contention.
+  // A 2 MiB cache derives 8 shards of 256 KiB; the ~12.5 MiB the threads
+  // write force continuous eviction while all threads hammer Get/Put
+  // across every shard. Guards the per-shard accounting (resident_bytes,
+  // list/map agreement) under contention.
+  constexpr size_t kCapacity = 2u << 20;
+  constexpr size_t kChunkBytes = 8 * 1024 + 1;  // payload + type tag
   auto base = std::make_shared<MemChunkStore>();
-  CachingChunkStore cache(base, 32 * 1024, /*shards=*/8);
+  CachingChunkStore cache(base, kCapacity);
   ASSERT_EQ(cache.shard_count(), 8u);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -88,14 +91,18 @@ TEST(ConcurrencyTest, ShardedLruEvictionUnderConcurrentAccess) {
       Rng rng(500 + t);
       std::vector<Hash256> mine;
       for (int i = 0; i < kOpsPerThread; ++i) {
-        Chunk chunk = Chunk::Make(ChunkType::kCell, rng.NextBytes(512));
+        Chunk chunk =
+            Chunk::Make(ChunkType::kCell, rng.NextBytes(kChunkBytes - 1));
         if (!cache.Put(chunk).ok()) ++failures;
         mine.push_back(chunk.hash());
-        // Batch-read a window of earlier chunks: some cached, most evicted
-        // (refilled from base through the batched miss path).
+        // Batch-read 16 earlier chunks spread over the whole history: the
+        // recent ones cached, the old ones evicted (refilled from base
+        // through the batched miss path).
         if (i % 8 == 7) {
-          size_t n = std::min<size_t>(mine.size(), 16);
-          std::vector<Hash256> probe(mine.end() - n, mine.end());
+          std::vector<Hash256> probe;
+          for (size_t k = 0; k < 16; ++k) {
+            probe.push_back(mine[k * mine.size() / 16]);
+          }
           for (const auto& r : cache.GetMany(probe)) {
             if (!r.ok()) ++failures;
           }
@@ -107,9 +114,10 @@ TEST(ConcurrencyTest, ShardedLruEvictionUnderConcurrentAccess) {
   EXPECT_EQ(failures.load(), 0);
   auto cstats = cache.cache_stats();
   EXPECT_GT(cstats.evictions, 0u);
+  EXPECT_GT(cstats.misses, 0u);
   // Bound: capacity plus at most one max-sized chunk overshoot per shard
   // (each shard always retains its most recent insert).
-  EXPECT_LE(cstats.resident_bytes, 32u * 1024u + 8u * 513u);
+  EXPECT_LE(cstats.resident_bytes, kCapacity + 8u * kChunkBytes);
 }
 
 TEST(ConcurrencyTest, ConcurrentBatchedFileStoreOps) {

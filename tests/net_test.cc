@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -191,6 +192,42 @@ TEST(ServerTest, RoundTripAndErrors) {
   }
   EXPECT_TRUE(saw_keys);
   (*server)->Stop();
+}
+
+TEST(ServerTest, FailedMutationHookBecomesTheErrorReply) {
+  ForkBase db(std::make_shared<MemChunkStore>());
+  const std::string tsv = ::testing::TempDir() + "/hook_branches.tsv";
+  std::filesystem::remove_all(tsv + ".tmp");
+  std::filesystem::remove(tsv);
+  // The head-table save writes this sibling first; as a directory it makes
+  // every save fail.
+  std::filesystem::create_directory(tsv + ".tmp");
+  ForkBaseServer::Options options;
+  options.after_mutation = [&db, tsv] {
+    return db.branches().SaveToFile(tsv);
+  };
+  auto server = ForkBaseServer::Start(&db, TestAddress("hook"), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = ForkBaseClient::Connect((*server)->address());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  auto unsaved = client->Put("k", "v1", "master", "alice", "m");
+  EXPECT_EQ(unsaved.status().code(), StatusCode::kIOError);
+  EXPECT_NE(unsaved.status().message().find("applied, not persisted"),
+            std::string::npos)
+      << unsaved.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(tsv));
+  // The put is applied in memory all the same, and reads never run the hook.
+  EXPECT_TRUE(client->Get("k", "master").ok());
+
+  std::filesystem::remove_all(tsv + ".tmp");
+  auto saved = client->Put("k", "v2", "master", "alice", "m");
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  BranchTable loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(tsv).ok());
+  EXPECT_EQ(*loaded.Head("k", "master"), *saved);
+  (*server)->Stop();
+  std::filesystem::remove(tsv);
 }
 
 TEST(ServerTest, EightConcurrentSessionsBitExact) {

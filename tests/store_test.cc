@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "chunk/mem_chunk_store.h"
 #include "store/forkbase.h"
@@ -94,6 +96,34 @@ TEST(BranchTableTest, SaveLoadRoundTrip) {
   BranchTable loaded;
   ASSERT_TRUE(loaded.LoadFromFile(path).ok());
   EXPECT_EQ(*loaded.Head("key-a", "dev"), Sha256(Slice("2")));
+  EXPECT_EQ(loaded.Keys(), (std::vector<std::string>{"key-a", "key-b"}));
+  std::filesystem::remove(path);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(BranchTableTest, FailedSaveLeavesPreviousFileIntact) {
+  const std::string path = ::testing::TempDir() + "/branches_failed_save.tsv";
+  std::filesystem::remove_all(path + ".tmp");
+  BranchTable table;
+  table.SetHead("key-a", "master", Sha256(Slice("1")));
+  ASSERT_TRUE(table.SaveToFile(path).ok());
+  const std::string before = ReadFileBytes(path);
+  ASSERT_FALSE(before.empty());
+  // The sibling the save writes first cannot be created: the save fails
+  // without having touched the live file.
+  std::filesystem::create_directory(path + ".tmp");
+  table.SetHead("key-b", "master", Sha256(Slice("2")));
+  EXPECT_FALSE(table.SaveToFile(path).ok());
+  EXPECT_EQ(ReadFileBytes(path), before);
+  std::filesystem::remove_all(path + ".tmp");
+  ASSERT_TRUE(table.SaveToFile(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  BranchTable loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
   EXPECT_EQ(loaded.Keys(), (std::vector<std::string>{"key-a", "key-b"}));
   std::filesystem::remove(path);
 }
